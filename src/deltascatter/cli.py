@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -46,7 +47,7 @@ class RunConfig:
     mode: RegularizationMode = RegularizationMode.FULL
     eps_start: float | None = None
     eps_factor: float = 1e-1
-    eps_count: int = 5
+    eps_count: int | None = None
     k_min: float | None = None
     k_max: float | None = None
     points: int | None = None
@@ -76,8 +77,15 @@ def _problem(cfg: RunConfig) -> ScatteringProblem:
 
 
 def _schedule(cfg: RunConfig, problem: ScatteringProblem) -> EpsilonSchedule:
+    """The schedule the flags ask for; omitted flags come from default_for.
+
+    The default count belongs to the default start: default_for lengthens
+    the schedule as it shrinks the start, so its count is taken only when
+    --eps-start is omitted too, and otherwise the count defaults to 5.
+    """
+    default = EpsilonSchedule.default_for(problem)
     if cfg.eps_start is None:
-        eps_start = EpsilonSchedule.default_for(problem).eps_start
+        eps_start = default.eps_start
     else:
         _require(
             math.isfinite(cfg.eps_start) and cfg.eps_start > 0.0,
@@ -88,8 +96,12 @@ def _schedule(cfg: RunConfig, problem: ScatteringProblem) -> EpsilonSchedule:
         0.0 < cfg.eps_factor < 1.0,
         f"--eps-factor must lie in (0, 1), got {cfg.eps_factor!r}",
     )
-    _require(cfg.eps_count >= 2, f"--eps-count must be >= 2, got {cfg.eps_count!r}")
-    return EpsilonSchedule(eps_start=eps_start, factor=cfg.eps_factor, count=cfg.eps_count)
+    if cfg.eps_count is None:
+        count = default.count if cfg.eps_start is None else 5
+    else:
+        _require(cfg.eps_count >= 2, f"--eps-count must be >= 2, got {cfg.eps_count!r}")
+        count = cfg.eps_count
+    return EpsilonSchedule(eps_start=eps_start, factor=cfg.eps_factor, count=count)
 
 
 def run_cross_section(cfg: RunConfig) -> tuple[list[str], int]:
@@ -200,7 +212,13 @@ def _add_schedule_flags(sub: argparse.ArgumentParser) -> None:
         help="largest cutoff (default: 1e-2, shrunk to fit the series domain)",
     )
     sub.add_argument("--eps-factor", type=float, default=1e-1)
-    sub.add_argument("--eps-count", type=int, default=5)
+    sub.add_argument(
+        "--eps-count",
+        type=int,
+        default=None,
+        help="number of cutoffs (default: 5, or more when --eps-start is "
+        "omitted and the start was shrunk)",
+    )
 
 
 def _add_output_flag(sub: argparse.ArgumentParser) -> None:
@@ -209,8 +227,26 @@ def _add_output_flag(sub: argparse.ArgumentParser) -> None:
     )
 
 
+# What argparse from Python 3.13 on takes for the start of a negative number.
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads "-2.5e-3" as a value, not as a flag.
+
+    Before Python 3.13 argparse only recognises negative numbers without an
+    exponent, so "--e0 -2.5e-3" failed with "expected one argument".  No
+    flag here starts like a number, so anything that does is a value.
+    Subparsers inherit the parser class, and with it this rule.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="deltascatter",
         description=(
             "Total cross section for scattering from an attractive point "
@@ -262,7 +298,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         mode=_MODES[getattr(args, "mode", RegularizationMode.FULL.value)],
         eps_start=getattr(args, "eps_start", None),
         eps_factor=getattr(args, "eps_factor", 1e-1),
-        eps_count=getattr(args, "eps_count", 5),
+        eps_count=getattr(args, "eps_count", None),
         k_min=getattr(args, "k_min", None),
         k_max=getattr(args, "k_max", None),
         points=getattr(args, "points", None),

@@ -35,7 +35,6 @@ from .errors import DomainError, SingularityError, ValidationError
 from .scattering import ScatteringProblem
 from .special_functions import (
     TWO_OVER_PI,
-    ComplexValue,
     bessel_k0,
     hankel1_0,
     hankel1_0_small_z,
@@ -145,19 +144,24 @@ def regularized_cross_section(
     if mode is RegularizationMode.FULL:
         k0_value = bessel_k0(_series_argument(z_mu, "mu*eps"))
         h0 = hankel1_0(_series_argument(z_k, "k*eps"))
+        h0_re, h0_im = h0.re, h0.im
     elif mode is RegularizationMode.ASYMPTOTIC:
         k0_value = k0_small_z(_series_argument(z_mu, "mu*eps"))
         h0 = hankel1_0_small_z(_series_argument(z_k, "k*eps"))
+        h0_re, h0_im = h0.re, h0.im
     elif mode is RegularizationMode.TRUNCATED_LOG:
         # Bare logarithms only; no ln 2, no gamma, no real part of H0.
         k0_value = -math.log(z_mu)
-        h0 = ComplexValue(0.0, TWO_OVER_PI * math.log(z_k))
+        h0_re = 0.0
+        h0_im = TWO_OVER_PI * math.log(z_k)
     else:
         raise ValidationError(f"unknown regularization mode: {mode!r}")
-    bracket = ComplexValue(k0_value, 0.0).scale(_INV_TWO_PI).add(
-        h0.times_i().scale(-0.25)
-    )
-    modulus_sq = bracket.modulus_squared()
+    # bracket = K0/(2 pi) - (i/4) H0 = K0/(2 pi) + H0.im/4 - i H0.re/4, on
+    # plain floats; sign flips and adding 0.0 are exact, so a resonant
+    # bracket still cancels to exactly zero.
+    bracket_re = _INV_TWO_PI * k0_value + 0.25 * h0_im
+    bracket_im = -0.25 * h0_re
+    modulus_sq = bracket_re * bracket_re + bracket_im * bracket_im
     if modulus_sq == 0.0:
         raise SingularityError(
             "the regularizing bracket vanished; sigma(eps) is undefined here"

@@ -16,11 +16,13 @@ are implemented here so they can be checked against each other.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ValidationError
 
 _PI_SQ = math.pi * math.pi
+_NORMAL_MIN = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -53,8 +55,16 @@ class ScatteringProblem:
 
     @property
     def log_x(self) -> float:
-        """ln(sqrt(-e0)/k), exactly zero at resonance k = sqrt(-e0)."""
-        return math.log(self.x)
+        """ln(sqrt(-e0)/k), exactly zero at resonance k = sqrt(-e0).
+
+        Where the ratio itself overflows to inf or underflows below the
+        normal doubles (losing digits, or all of them at 0), the logarithm
+        is taken as the difference ln(mu) - ln(k) instead.
+        """
+        x = self.x
+        if _NORMAL_MIN <= x < math.inf:
+            return math.log(x)
+        return math.log(self.bound_state_scale) - math.log(self.k)
 
 
 @dataclass(frozen=True)
@@ -91,11 +101,15 @@ def cross_section_closed(problem: ScatteringProblem) -> CrossSection:
     """Closed-form total cross section 4 pi^2 / (k [pi^2 + 4 (ln x)^2]).
 
     Maximal at resonance (ln x = 0), where it saturates the s-wave
-    unitarity bound sigma = 4/k.
+    unitarity bound sigma = 4/k.  For k near the float maximum, where
+    k * denominator overflows, k divides last instead.
     """
     log_x = problem.log_x
     denominator = _PI_SQ + 4.0 * log_x * log_x
-    return CrossSection(4.0 * _PI_SQ / (problem.k * denominator))
+    k_denominator = problem.k * denominator
+    if k_denominator == math.inf:
+        return CrossSection(4.0 * _PI_SQ / denominator / problem.k)
+    return CrossSection(4.0 * _PI_SQ / k_denominator)
 
 
 def s_wave_phase_shift(problem: ScatteringProblem) -> PhaseShift:
@@ -134,15 +148,11 @@ def sin_sq_from_tan(tan_value: float) -> float:
 def cross_section_partial_wave(problem: ScatteringProblem, m_max: int = 0) -> CrossSection:
     """Total cross section from the partial-wave sum (4/k) sum_m sin^2(delta_m).
 
-    Only the m = 0 channel scatters off a zero-range potential, so every
-    |m| >= 1 term contributes exactly 0.0 and the result is bit-identical
-    for any m_max; the parameter exists so that property stays checkable.
+    Only the m = 0 channel scatters off a zero-range potential: every
+    |m| >= 1 term is exactly 0.0, and adding 0.0 leaves a float's bits
+    unchanged.  So m_max is validated, but only m = 0 is summed, and the
+    result is bit-identical for any m_max.
     """
     if not isinstance(m_max, int) or m_max < 0:
         raise ValidationError(f"m_max must be a non-negative integer, got {m_max!r}")
-    tan_d0 = _tan_delta0(problem)
-    total = 0.0
-    for m in range(-m_max, m_max + 1):
-        tan_d = tan_d0 if m == 0 else 0.0
-        total += sin_sq_from_tan(tan_d)
-    return CrossSection(4.0 * total / problem.k)
+    return CrossSection(4.0 * sin_sq_from_tan(_tan_delta0(problem)) / problem.k)

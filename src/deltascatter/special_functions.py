@@ -85,6 +85,11 @@ def bessel_y0(z: float) -> float:
     with h_m the m-th harmonic number.
     """
     _require_series_domain(z, "bessel_y0")
+    return _y0_given_j0(z, bessel_j0(z))
+
+
+def _y0_given_j0(z: float, j0: float) -> float:
+    """Y0(z) from an already summed J0(z); z must be in the series domain."""
     q = 0.25 * z * z
     term = 1.0
     harmonic = 0.0
@@ -98,7 +103,7 @@ def bessel_y0(z: float) -> float:
             correction -= harmonic * term
         if harmonic * term < _REL_FLOOR * abs(correction):
             break
-    log_part = (math.log(0.5 * z) + EULER_GAMMA) * bessel_j0(z)
+    log_part = (math.log(0.5 * z) + EULER_GAMMA) * j0
     return TWO_OVER_PI * (log_part + correction)
 
 
@@ -126,9 +131,10 @@ def bessel_k0(z: float) -> float:
 
 
 def hankel1_0(z: float) -> ComplexValue:
-    """H0(z) = J0(z) + i Y0(z), components on the same summation path."""
+    """H0(z) = J0(z) + i Y0(z), with one J0 sum serving both components."""
     _require_series_domain(z, "hankel1_0")
-    return ComplexValue(bessel_j0(z), bessel_y0(z))
+    j0 = bessel_j0(z)
+    return ComplexValue(j0, _y0_given_j0(z, j0))
 
 
 def k0_small_z(z: float) -> float:

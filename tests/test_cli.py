@@ -11,6 +11,12 @@ from deltascatter.cli import (
     EXIT_VALIDATION,
     main,
 )
+from deltascatter.regularization import (
+    EpsilonSchedule,
+    RegularizationMode,
+    limit_extrapolate,
+)
+from deltascatter.scattering import ScatteringProblem
 
 E0_LOG_X_ONE = -math.e**2  # ln x = 1 at k = 1
 
@@ -84,6 +90,55 @@ class TestCrossSection:
         assert out.startswith("k,e0,x,ln_x,method,sigma\n")
         assert "converge" in err
 
+    @pytest.mark.parametrize(
+        "k, e0, method, sigma",
+        [
+            ("1e300", "-1e-300", "closed", "9.19268423123385e-306"),
+            ("1e300", "-1e-300", "partial-wave", "9.19268423123385e-306"),
+            ("1e-300", "-1e300", "closed", "9.19268423123385e+294"),
+            ("1e308", "-1", "closed", "1.96229729165596e-313"),
+            ("1e308", "-1", "partial-wave", "1.96229729165596e-313"),
+        ],
+    )
+    def test_extreme_finite_inputs(self, capsys, k, e0, method, sigma):
+        code, out, err = run_cli(
+            capsys, ["cross-section", "--k", k, f"--e0={e0}", "--method", method]
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[1].split(",")[-1] == sigma
+
+    def test_limit_uses_the_whole_default_schedule(self, capsys):
+        # max(k, mu) = 300 shrinks the default start, and the longer
+        # default count must come along with it.
+        code, out, err = run_cli(
+            capsys, ["cross-section", "--k", "300", "--e0=-1", "--method", "limit"]
+        )
+        problem = ScatteringProblem(k=300.0, e0=-1.0)
+        estimate = limit_extrapolate(
+            problem, EpsilonSchedule.default_for(problem), RegularizationMode.FULL
+        )
+        assert estimate.converged
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[1].split(",")[-1] == format(
+            estimate.sigma_limit, "#.15g"
+        )
+
+
+class TestNegativeExponentValues:
+    @pytest.mark.parametrize(
+        "head",
+        [
+            ["cross-section", "--k", "1"],
+            ["limit-study", "--k", "1"],
+            ["sweep", "--k-min", "0.01", "--k-max", "1", "--points", "4"],
+        ],
+    )
+    def test_space_form_matches_equals_form(self, capsys, head):
+        code_eq, out_eq, _ = run_cli(capsys, head + ["--e0=-2.5e-3"])
+        code_sp, out_sp, err_sp = run_cli(capsys, head + ["--e0", "-2.5e-3"])
+        assert code_eq == EXIT_OK
+        assert (code_sp, out_sp, err_sp) == (code_eq, out_eq, "")
+
 
 class TestLimitStudy:
     def test_full_mode_table(self, capsys):
@@ -138,6 +193,18 @@ class TestLimitStudy:
         )
         assert code == EXIT_DOMAIN
         assert "bracket" in err
+
+    def test_default_count_follows_the_default_start(self, capsys):
+        problem = ScatteringProblem(k=300.0, e0=-1.0)
+        count = EpsilonSchedule.default_for(problem).count
+        assert count > 5
+        _, out, _ = run_cli(capsys, ["limit-study", "--k", "300", "--e0", "-1"])
+        assert len(out.splitlines()) == count + 2
+        _, out, _ = run_cli(
+            capsys,
+            ["limit-study", "--k", "300", "--e0", "-1", "--eps-start", "1e-3"],
+        )
+        assert len(out.splitlines()) == 5 + 2
 
     def test_bad_eps_count_exits_two(self, capsys):
         code, _, err = run_cli(

@@ -14,7 +14,14 @@ from deltascatter.regularization import (
     regularized_cross_section,
 )
 from deltascatter.scattering import ScatteringProblem, cross_section_closed
-from deltascatter.special_functions import TWO_OVER_PI
+from deltascatter.special_functions import (
+    TWO_OVER_PI,
+    ComplexValue,
+    bessel_k0,
+    hankel1_0,
+    hankel1_0_small_z,
+    k0_small_z,
+)
 
 PI_SQ = 9.869604401089358
 
@@ -27,6 +34,26 @@ momenta = st.floats(min_value=0.1, max_value=10.0)
 log_ratios = st.floats(min_value=-3.0, max_value=3.0)
 cutoffs = st.floats(min_value=1e-8, max_value=1e-3)
 modes = st.sampled_from(list(RegularizationMode))
+
+
+def complex_chain_sigma(problem, eps, mode):
+    """sigma(eps) with the bracket built as a chain of ComplexValue steps."""
+    z_mu = problem.bound_state_scale * eps
+    z_k = problem.k * eps
+    if mode is RegularizationMode.FULL:
+        k0_value, h0 = bessel_k0(z_mu), hankel1_0(z_k)
+    elif mode is RegularizationMode.ASYMPTOTIC:
+        k0_value, h0 = k0_small_z(z_mu), hankel1_0_small_z(z_k)
+    else:
+        k0_value = -math.log(z_mu)
+        h0 = ComplexValue(0.0, TWO_OVER_PI * math.log(z_k))
+    bracket = ComplexValue(k0_value, 0.0).scale(0.25 * TWO_OVER_PI).add(
+        h0.times_i().scale(-0.25)
+    )
+    modulus_sq = bracket.modulus_squared()
+    if modulus_sq == 0.0:
+        return None
+    return 1.0 / (4.0 * problem.k * modulus_sq)
 
 
 class TestEpsilonSchedule:
@@ -159,6 +186,17 @@ class TestRegularizedCrossSection:
             problem_at(1.0, 0.0), 1e-4, RegularizationMode.FULL
         )
         assert sigma == pytest.approx(4.0, rel=1e-6)
+
+    @pytest.mark.parametrize("mode", list(RegularizationMode))
+    @given(k=momenta, log_x=st.one_of(st.just(0.0), log_ratios), eps=cutoffs)
+    def test_bit_identical_to_complex_chain(self, mode, k, log_x, eps):
+        problem = problem_at(k, log_x)
+        expected = complex_chain_sigma(problem, eps, mode)
+        if expected is None:
+            with pytest.raises(SingularityError):
+                regularized_cross_section(problem, eps, mode)
+        else:
+            assert regularized_cross_section(problem, eps, mode) == expected
 
     @given(momenta, log_ratios, cutoffs, modes)
     def test_positive(self, k, log_x, eps, mode):

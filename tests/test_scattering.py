@@ -1,7 +1,8 @@
 import math
 
+import mpmath as mp
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from deltascatter.errors import ValidationError
@@ -177,6 +178,11 @@ class TestPartialWave:
         base = cross_section_partial_wave(problem, m_max=0).sigma
         assert cross_section_partial_wave(problem, m_max=m_max).sigma == base
 
+    def test_huge_m_max_returns_the_m0_bits(self):
+        problem = problem_at(0.7, -1.3)
+        base = cross_section_partial_wave(problem, m_max=0).sigma
+        assert cross_section_partial_wave(problem, m_max=10**9).sigma == base
+
     def test_route_equivalence_on_grid(self):
         for problem in grid_problems():
             closed = cross_section_closed(problem).sigma
@@ -211,3 +217,48 @@ class TestInvariants:
         assert values[0] == pytest.approx(4.0, rel=1e-15)
         for larger, smaller in zip(values, values[1:]):
             assert smaller < larger
+
+
+def exact_sigma(k, e0):
+    with mp.workdps(40):
+        log_x = mp.log(mp.sqrt(-mp.mpf(e0)) / k)
+        return 4 * mp.pi**2 / (k * (mp.pi**2 + 4 * log_x**2))
+
+
+class TestWholeDoubleRange:
+    """Where x = mu/k under- or overflows, or k * denominator overflows."""
+
+    @pytest.mark.parametrize(
+        "k, e0, log_x",
+        [(1e300, -1e-300, -1036.1632918473207), (1e-300, -1e300, 1036.1632918473207)],
+    )
+    def test_log_x_when_ratio_leaves_the_double_range(self, k, e0, log_x):
+        problem = ScatteringProblem(k=k, e0=e0)
+        assert problem.x in (0.0, math.inf)
+        assert problem.log_x == pytest.approx(log_x, rel=1e-15)
+
+    def test_phase_shift_when_ratio_overflows(self):
+        delta0 = s_wave_phase_shift(ScatteringProblem(k=1e-300, e0=-1e300)).delta0
+        assert delta0 == pytest.approx(math.pi - math.pi / (2 * 1036.1632918473207))
+
+    def test_closed_form_when_k_times_denominator_overflows(self):
+        problem = ScatteringProblem(k=1e308, e0=-1.0)
+        closed = cross_section_closed(problem).sigma
+        assert closed == pytest.approx(float(exact_sigma(1e308, -1.0)), rel=1e-9)
+        assert format(closed, "#.15g") == format(
+            cross_section_partial_wave(problem).sigma, "#.15g"
+        )
+
+    @given(
+        st.floats(min_value=5e-324, max_value=1.7e308),
+        st.floats(min_value=-1.7e308, max_value=-5e-324),
+    )
+    def test_routes_match_exact_value(self, k, e0):
+        exact = exact_sigma(k, e0)
+        assume(1e-300 < exact < 1e300)
+        problem = ScatteringProblem(k=k, e0=e0)
+        for sigma in (
+            cross_section_closed(problem).sigma,
+            cross_section_partial_wave(problem).sigma,
+        ):
+            assert abs(sigma - exact) <= 1e-13 * exact

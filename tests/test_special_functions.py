@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -133,6 +134,15 @@ def test_hankel_components_bit_identical_to_parts(z):
     h = hankel1_0(z)
     assert h.re == bessel_j0(z)
     assert h.im == bessel_y0(z)
+
+
+def test_hankel_components_bit_identical_on_random_arguments():
+    rng = random.Random(20260)
+    zs = [2.0] + [2.0 - rng.uniform(0.0, 2.0) for _ in range(9000)]
+    zs += [10.0 ** rng.uniform(-300.0, 0.0) for _ in range(1000)]
+    for z in zs:
+        h = hankel1_0(z)
+        assert (h.re, h.im) == (bessel_j0(z), bessel_y0(z)), z
 
 
 @given(in_domain)
