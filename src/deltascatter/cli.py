@@ -8,16 +8,19 @@ Subcommands:
 
 Exit codes: 0 success, 2 invalid input, 3 limit did not converge,
 4 argument outside a function's accuracy domain (which includes the
-singular points where an expression has no finite value).
+singular points where an expression has no finite value, and a cross
+section beyond the largest double).  sweep writes its rows as they are
+computed; an error part way through keeps the rows already written.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 
 from .errors import DomainError, SingularityError, ValidationError
 from .regularization import EpsilonSchedule, RegularizationMode, limit_extrapolate
@@ -35,23 +38,9 @@ EXIT_DOMAIN = 4
 
 _MODES = {mode.value: mode for mode in RegularizationMode}
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs; only subcommand-relevant fields are used."""
-
-    subcommand: str
-    k: float | None = None
-    e0: float | None = None
-    method: str = "closed"
-    mode: RegularizationMode = RegularizationMode.FULL
-    eps_start: float | None = None
-    eps_factor: float = 1e-1
-    eps_count: int | None = None
-    k_min: float | None = None
-    k_max: float | None = None
-    points: int | None = None
-    output_path: str | None = None
+# One sweep row: k, ln x, delta0, sigma, sigma*k.  "%#.15g" formats a
+# float exactly as format(value, "#.15g") does, in one call per row.
+_SWEEP_ROW = ",".join(["%#.15g"] * 5) + "\n"
 
 
 def _fmt(value: float) -> str:
@@ -64,19 +53,19 @@ def _require(condition: bool, message: str) -> None:
         raise ValidationError(message)
 
 
-def _problem(cfg: RunConfig) -> ScatteringProblem:
+def _problem(args: argparse.Namespace) -> ScatteringProblem:
     _require(
-        cfg.k is not None and math.isfinite(cfg.k) and cfg.k > 0.0,
-        f"--k must be finite and positive, got {cfg.k!r}",
+        math.isfinite(args.k) and args.k > 0.0,
+        f"--k must be finite and positive, got {args.k!r}",
     )
     _require(
-        cfg.e0 is not None and math.isfinite(cfg.e0) and cfg.e0 < 0.0,
-        f"--e0 must be negative (a bound state needs e0 < 0), got {cfg.e0!r}",
+        math.isfinite(args.e0) and args.e0 < 0.0,
+        f"--e0 must be negative (a bound state needs e0 < 0), got {args.e0!r}",
     )
-    return ScatteringProblem(k=cfg.k, e0=cfg.e0)
+    return ScatteringProblem(k=args.k, e0=args.e0)
 
 
-def _schedule(cfg: RunConfig, problem: ScatteringProblem) -> EpsilonSchedule:
+def _schedule(args: argparse.Namespace, problem: ScatteringProblem) -> EpsilonSchedule:
     """The schedule the flags ask for; omitted flags come from default_for.
 
     The default count belongs to the default start: default_for lengthens
@@ -84,35 +73,38 @@ def _schedule(cfg: RunConfig, problem: ScatteringProblem) -> EpsilonSchedule:
     --eps-start is omitted too, and otherwise the count defaults to 5.
     """
     default = EpsilonSchedule.default_for(problem)
-    if cfg.eps_start is None:
+    if args.eps_start is None:
         eps_start = default.eps_start
     else:
         _require(
-            math.isfinite(cfg.eps_start) and cfg.eps_start > 0.0,
-            f"--eps-start must be finite and positive, got {cfg.eps_start!r}",
+            math.isfinite(args.eps_start) and args.eps_start > 0.0,
+            f"--eps-start must be finite and positive, got {args.eps_start!r}",
         )
-        eps_start = cfg.eps_start
+        eps_start = args.eps_start
     _require(
-        0.0 < cfg.eps_factor < 1.0,
-        f"--eps-factor must lie in (0, 1), got {cfg.eps_factor!r}",
+        0.0 < args.eps_factor < 1.0,
+        f"--eps-factor must lie in (0, 1), got {args.eps_factor!r}",
     )
-    if cfg.eps_count is None:
-        count = default.count if cfg.eps_start is None else 5
+    if args.eps_count is None:
+        count = default.count if args.eps_start is None else 5
     else:
-        _require(cfg.eps_count >= 2, f"--eps-count must be >= 2, got {cfg.eps_count!r}")
-        count = cfg.eps_count
-    return EpsilonSchedule(eps_start=eps_start, factor=cfg.eps_factor, count=count)
+        _require(
+            args.eps_count >= 2, f"--eps-count must be >= 2, got {args.eps_count!r}"
+        )
+        count = args.eps_count
+    return EpsilonSchedule(eps_start=eps_start, factor=args.eps_factor, count=count)
 
 
-def run_cross_section(cfg: RunConfig) -> tuple[list[str], int]:
-    problem = _problem(cfg)
+def run_cross_section(args: argparse.Namespace) -> tuple[list[str], int]:
+    problem = _problem(args)
     status = EXIT_OK
-    if cfg.method == "closed":
+    if args.method == "closed":
         sigma = cross_section_closed(problem).sigma
-    elif cfg.method == "partial-wave":
+    elif args.method == "partial-wave":
         sigma = cross_section_partial_wave(problem).sigma
     else:
-        estimate = limit_extrapolate(problem, _schedule(cfg, problem), cfg.mode)
+        schedule = _schedule(args, problem)
+        estimate = limit_extrapolate(problem, schedule, _MODES[args.mode])
         sigma = estimate.sigma_limit
         if not estimate.converged:
             status = EXIT_NO_CONVERGENCE
@@ -121,74 +113,72 @@ def run_cross_section(cfg: RunConfig) -> tuple[list[str], int]:
         _fmt(problem.e0),
         _fmt(problem.x),
         _fmt(problem.log_x),
-        cfg.method,
+        args.method,
         _fmt(sigma),
     ]
-    return ["k,e0,x,ln_x,method,sigma", ",".join(record)], status
+    return ["k,e0,x,ln_x,method,sigma\n", ",".join(record) + "\n"], status
 
 
-def run_limit_study(cfg: RunConfig) -> tuple[list[str], int]:
-    problem = _problem(cfg)
-    estimate = limit_extrapolate(problem, _schedule(cfg, problem), cfg.mode)
+def run_limit_study(args: argparse.Namespace) -> tuple[list[str], int]:
+    problem = _problem(args)
+    schedule = _schedule(args, problem)
+    estimate = limit_extrapolate(problem, schedule, _MODES[args.mode])
     sigma_closed = cross_section_closed(problem).sigma
-    lines = ["eps,sigma_eps,abs_err_vs_closed"]
+    lines = ["eps,sigma_eps,abs_err_vs_closed\n"]
     for eps, sigma_eps in estimate.samples:
         lines.append(
-            f"{_fmt(eps)},{_fmt(sigma_eps)},{_fmt(abs(sigma_eps - sigma_closed))}"
+            f"{_fmt(eps)},{_fmt(sigma_eps)},{_fmt(abs(sigma_eps - sigma_closed))}\n"
         )
-    lines.append(f"limit,{_fmt(estimate.sigma_limit)},{_fmt(estimate.error_estimate)}")
+    lines.append(
+        f"limit,{_fmt(estimate.sigma_limit)},{_fmt(estimate.error_estimate)}\n"
+    )
     return lines, EXIT_OK if estimate.converged else EXIT_NO_CONVERGENCE
 
 
-def _geometric_grid(k_min: float, k_max: float, points: int) -> list[float]:
+def _geometric_grid(k_min: float, k_max: float, points: int) -> Iterator[float]:
     """Geometrically spaced momenta with both endpoints exact."""
     log_min = math.log(k_min)
     step = (math.log(k_max) - log_min) / (points - 1)
-    grid = [k_min]
+    yield k_min
     for i in range(1, points - 1):
-        grid.append(math.exp(log_min + i * step))
-    grid.append(k_max)
-    return grid
+        yield math.exp(log_min + i * step)
+    yield k_max
 
 
-def run_sweep(cfg: RunConfig) -> tuple[list[str], int]:
-    _require(
-        cfg.e0 is not None and math.isfinite(cfg.e0) and cfg.e0 < 0.0,
-        f"--e0 must be negative (a bound state needs e0 < 0), got {cfg.e0!r}",
-    )
-    _require(
-        cfg.k_min is not None and math.isfinite(cfg.k_min) and cfg.k_min > 0.0,
-        f"--k-min must be finite and positive, got {cfg.k_min!r}",
-    )
-    _require(
-        cfg.k_max is not None and math.isfinite(cfg.k_max) and cfg.k_max > 0.0,
-        f"--k-max must be finite and positive, got {cfg.k_max!r}",
-    )
-    _require(
-        cfg.k_min < cfg.k_max,
-        f"--k-min must be below --k-max, got {cfg.k_min!r} >= {cfg.k_max!r}",
-    )
-    _require(
-        cfg.points is not None and cfg.points >= 2,
-        f"--points must be >= 2, got {cfg.points!r}",
-    )
-    lines = ["k,ln_x,delta0,sigma,sigma_times_k"]
-    for k in _geometric_grid(cfg.k_min, cfg.k_max, cfg.points):
-        problem = ScatteringProblem(k=k, e0=cfg.e0)
+def _sweep_rows(e0: float, grid: Iterable[float]) -> Iterator[str]:
+    yield "k,ln_x,delta0,sigma,sigma_times_k\n"
+    for k in grid:
+        problem = ScatteringProblem(k=k, e0=e0)
         sigma = cross_section_closed(problem).sigma
         delta0 = s_wave_phase_shift(problem).delta0
-        lines.append(
-            ",".join(
-                [
-                    _fmt(k),
-                    _fmt(problem.log_x),
-                    _fmt(delta0),
-                    _fmt(sigma),
-                    _fmt(sigma * k),
-                ]
-            )
-        )
-    return lines, EXIT_OK
+        yield _SWEEP_ROW % (k, problem.log_x, delta0, sigma, sigma * k)
+
+
+def run_sweep(args: argparse.Namespace) -> tuple[Iterator[str], int]:
+    """The sweep table as lazily computed lines, after checking every flag.
+
+    All validation happens here, before the first line is produced, so a
+    bad flag writes nothing; an error in a later row ends the table there.
+    """
+    _require(
+        math.isfinite(args.e0) and args.e0 < 0.0,
+        f"--e0 must be negative (a bound state needs e0 < 0), got {args.e0!r}",
+    )
+    _require(
+        math.isfinite(args.k_min) and args.k_min > 0.0,
+        f"--k-min must be finite and positive, got {args.k_min!r}",
+    )
+    _require(
+        math.isfinite(args.k_max) and args.k_max > 0.0,
+        f"--k-max must be finite and positive, got {args.k_max!r}",
+    )
+    _require(
+        args.k_min < args.k_max,
+        f"--k-min must be below --k-max, got {args.k_min!r} >= {args.k_max!r}",
+    )
+    _require(args.points >= 2, f"--points must be >= 2, got {args.points!r}")
+    grid = _geometric_grid(args.k_min, args.k_max, args.points)
+    return _sweep_rows(args.e0, grid), EXIT_OK
 
 
 def _add_problem_flags(sub: argparse.ArgumentParser) -> None:
@@ -289,23 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        k=getattr(args, "k", None),
-        e0=getattr(args, "e0", None),
-        method=getattr(args, "method", "closed"),
-        mode=_MODES[getattr(args, "mode", RegularizationMode.FULL.value)],
-        eps_start=getattr(args, "eps_start", None),
-        eps_factor=getattr(args, "eps_factor", 1e-1),
-        eps_count=getattr(args, "eps_count", None),
-        k_min=getattr(args, "k_min", None),
-        k_max=getattr(args, "k_max", None),
-        points=getattr(args, "points", None),
-        output_path=getattr(args, "output", None),
-    )
-
-
 _RUNNERS = {
     "cross-section": run_cross_section,
     "limit-study": run_limit_study,
@@ -321,21 +294,29 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad flags and 0 on --help; surface either
         # as a return value so callers always get an int.
         return int(exc.code or 0)
-    cfg = _config_from_args(args)
     try:
-        lines, status = _RUNNERS[cfg.subcommand](cfg)
+        lines, status = _RUNNERS[args.subcommand](args)
+        if args.output is None:
+            sys.stdout.writelines(lines)
+            sys.stdout.flush()
+        else:
+            with open(args.output, "w", encoding="ascii", newline="\n") as handle:
+                handle.writelines(lines)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (DomainError, SingularityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    text = "\n".join(lines) + "\n"
-    if cfg.output_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(cfg.output_path, "wb") as handle:
-            handle.write(text.encode("ascii"))
+    except BrokenPipeError:
+        # The reader has gone, so nothing more can be delivered: stop
+        # quietly.  What stdout still buffers goes to devnull, so the
+        # interpreter's final flush cannot fail again.
+        if args.output is None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return EXIT_OK
     if status == EXIT_NO_CONVERGENCE:
         print("warning: limit did not converge to relative 1e-08", file=sys.stderr)
     return status

@@ -19,7 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 
 _PI_SQ = math.pi * math.pi
 _NORMAL_MIN = sys.float_info.min
@@ -32,6 +32,11 @@ class ScatteringProblem:
     In hbar = 2m = 1 units momenta and inverse lengths coincide and e0
     carries momentum-squared units.  A genuine bound state requires
     e0 < 0; construction rejects anything else.
+
+    Construction also computes the derived scales mu, x and ln x, once.
+    They are stored outside the dataclass fields and read through
+    properties, so repr, equality, hashing and dataclasses.fields still
+    see only (k, e0).
     """
 
     k: float
@@ -42,16 +47,25 @@ class ScatteringProblem:
             raise ValidationError(f"k must be finite and positive, got {self.k!r}")
         if not (math.isfinite(self.e0) and self.e0 < 0.0):
             raise ValidationError(f"e0 must be finite and negative, got {self.e0!r}")
+        mu = math.sqrt(-self.e0)
+        x = mu / self.k
+        if _NORMAL_MIN <= x < math.inf:
+            log_x = math.log(x)
+        else:
+            log_x = math.log(mu) - math.log(self.k)
+        object.__setattr__(self, "_mu", mu)
+        object.__setattr__(self, "_x", x)
+        object.__setattr__(self, "_log_x", log_x)
 
     @property
     def bound_state_scale(self) -> float:
         """mu = sqrt(-e0), the momentum scale set by the bound state."""
-        return math.sqrt(-self.e0)
+        return self._mu
 
     @property
     def x(self) -> float:
         """Dimensionless ratio sqrt(-e0)/k."""
-        return self.bound_state_scale / self.k
+        return self._x
 
     @property
     def log_x(self) -> float:
@@ -61,10 +75,7 @@ class ScatteringProblem:
         normal doubles (losing digits, or all of them at 0), the logarithm
         is taken as the difference ln(mu) - ln(k) instead.
         """
-        x = self.x
-        if _NORMAL_MIN <= x < math.inf:
-            return math.log(x)
-        return math.log(self.bound_state_scale) - math.log(self.k)
+        return self._log_x
 
 
 @dataclass(frozen=True)
@@ -89,6 +100,21 @@ class PhaseShift:
             raise ValidationError(f"delta0 must lie in (0, pi), got {self.delta0!r}")
 
 
+def _cross_section(problem: ScatteringProblem, sigma: float) -> CrossSection:
+    """sigma as a CrossSection, or a DomainError where it overflowed.
+
+    For valid (k, e0) the true cross section is positive, and even at the
+    extremes of the doubles it stays above 4e-314, so overflow is the only
+    way out of range: at e0 = -1 that happens for k below about 1e-313.
+    """
+    if sigma == math.inf:
+        raise DomainError(
+            f"the cross section at k={problem.k!r}, e0={problem.e0!r} "
+            "exceeds the largest double"
+        )
+    return CrossSection(sigma)
+
+
 def _tan_delta0(problem: ScatteringProblem) -> float:
     """tan(delta_0) = -pi/(2 ln x); math.inf marks the resonant pi/2."""
     log_x = problem.log_x
@@ -108,8 +134,8 @@ def cross_section_closed(problem: ScatteringProblem) -> CrossSection:
     denominator = _PI_SQ + 4.0 * log_x * log_x
     k_denominator = problem.k * denominator
     if k_denominator == math.inf:
-        return CrossSection(4.0 * _PI_SQ / denominator / problem.k)
-    return CrossSection(4.0 * _PI_SQ / k_denominator)
+        return _cross_section(problem, 4.0 * _PI_SQ / denominator / problem.k)
+    return _cross_section(problem, 4.0 * _PI_SQ / k_denominator)
 
 
 def s_wave_phase_shift(problem: ScatteringProblem) -> PhaseShift:
@@ -155,4 +181,5 @@ def cross_section_partial_wave(problem: ScatteringProblem, m_max: int = 0) -> Cr
     """
     if not isinstance(m_max, int) or m_max < 0:
         raise ValidationError(f"m_max must be a non-negative integer, got {m_max!r}")
-    return CrossSection(4.0 * sin_sq_from_tan(_tan_delta0(problem)) / problem.k)
+    sin_sq = sin_sq_from_tan(_tan_delta0(problem))
+    return _cross_section(problem, 4.0 * sin_sq / problem.k)

@@ -1,10 +1,14 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from deltascatter.cli import (
+    _SWEEP_ROW,
     EXIT_DOMAIN,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
@@ -292,3 +296,87 @@ class TestOutputPlumbing:
         )
         assert result.returncode == EXIT_OK
         assert result.stdout == out
+
+
+class TestUnrepresentableSigma:
+    """Valid input whose cross section exceeds the largest double exits 4."""
+
+    @pytest.mark.parametrize("method", ["closed", "partial-wave"])
+    def test_cross_section(self, capsys, method):
+        code, out, err = run_cli(
+            capsys, ["cross-section", "--k", "1e-320", "--e0=-1", "--method", method]
+        )
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert "k=1e-320, e0=-1.0" in err and "largest double" in err
+        assert "sigma must" not in err
+
+    def test_limit_study(self, capsys):
+        # The closed-form column of the study is what cannot be represented.
+        code, out, err = run_cli(
+            capsys,
+            [
+                "limit-study", "--k", "1e-320", "--e0=-1",
+                "--eps-start", "1e-2", "--eps-count", "2",
+            ],
+        )
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert "largest double" in err
+
+    def test_sweep_keeps_the_rows_before_the_failing_row(self, capsys, tmp_path):
+        argv = ["sweep", "--e0=-1", "--k-min", "1e-320", "--k-max", "1", "--points", "5"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (EXIT_DOMAIN, "k,ln_x,delta0,sigma,sigma_times_k\n")
+        assert "largest double" in err
+        target = tmp_path / "table.csv"
+        code, _, _ = run_cli(capsys, argv + ["--output", str(target)])
+        assert code == EXIT_DOMAIN
+        assert target.read_bytes() == out.encode("ascii")
+
+
+class TestStreamedSweep:
+    @given(st.tuples(*[st.floats(allow_nan=False)] * 5))
+    def test_row_format_is_fmt_per_value(self, row):
+        assert _SWEEP_ROW % row == ",".join(format(v, "#.15g") for v in row) + "\n"
+
+    def test_memory_does_not_grow_with_points(self, capsys, tmp_path):
+        argv = [
+            "sweep", "--e0=-1", "--k-min", "0.01", "--k-max", "100",
+            "--points", "100000", "--output", str(tmp_path / "table.csv"),
+        ]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < 2**20
+
+    def test_bad_flags_create_no_output_file(self, capsys, tmp_path):
+        target = tmp_path / "table.csv"
+        code, _, _ = run_cli(
+            capsys,
+            [
+                "sweep", "--e0=-1", "--k-min", "2", "--k-max", "1",
+                "--output", str(target),
+            ],
+        )
+        assert code == EXIT_VALIDATION
+        assert not target.exists()
+
+    def test_closed_pipe_ends_the_run_quietly(self):
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "deltascatter", "sweep", "--e0=-1",
+                "--k-min", "0.01", "--k-max", "100", "--points", "200000",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert head.startswith(b"k,ln_x,delta0,sigma,sigma_times_k\n")
+        assert (code, err) == (EXIT_OK, b"")

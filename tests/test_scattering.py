@@ -1,11 +1,13 @@
+import dataclasses
 import math
+import sys
 
 import mpmath as mp
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from deltascatter.errors import ValidationError
+from deltascatter.errors import DomainError, ValidationError
 from deltascatter.scattering import (
     CrossSection,
     PhaseShift,
@@ -30,6 +32,7 @@ def grid_problems():
 
 
 momenta = st.floats(min_value=1e-3, max_value=1e3)
+log_uniform = st.floats(min_value=-300.0, max_value=300.0).map(lambda t: 10.0**t)
 log_ratios = st.floats(min_value=-6.0, max_value=6.0)
 
 
@@ -67,6 +70,24 @@ class TestScatteringProblem:
         assert ScatteringProblem(k=math.e, e0=-1.0).log_x == pytest.approx(
             -1.0, abs=5e-16
         )
+
+
+    @given(log_uniform, log_uniform)
+    def test_derived_scales_are_the_expressions_computed_once(self, k, minus_e0):
+        e0 = -minus_e0
+        problem = ScatteringProblem(k=k, e0=e0)
+        mu = math.sqrt(-e0)
+        x = mu / k
+        if sys.float_info.min <= x < math.inf:
+            log_x = math.log(x)
+        else:
+            log_x = math.log(mu) - math.log(k)
+        stored = (problem.bound_state_scale, problem.x, problem.log_x)
+        assert [v.hex() for v in stored] == [v.hex() for v in (mu, x, log_x)]
+        assert repr(problem) == f"ScatteringProblem(k={k!r}, e0={e0!r})"
+        assert problem == ScatteringProblem(k=k, e0=e0)
+        assert hash(problem) == hash((k, e0))
+        assert [f.name for f in dataclasses.fields(problem)] == ["k", "e0"]
 
 
 class TestValueTypes:
@@ -262,3 +283,28 @@ class TestWholeDoubleRange:
             cross_section_partial_wave(problem).sigma,
         ):
             assert abs(sigma - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("route", [cross_section_closed, cross_section_partial_wave])
+    def test_unrepresentable_sigma_is_a_domain_error(self, route):
+        with pytest.raises(DomainError) as excinfo:
+            route(ScatteringProblem(k=1e-320, e0=-1.0))
+        message = str(excinfo.value)
+        assert "k=1e-320, e0=-1.0" in message
+        assert "exceeds the largest double" in message
+
+    @given(
+        st.floats(min_value=-323.0, max_value=-290.0).map(lambda t: 10.0**t),
+        st.floats(min_value=-323.0, max_value=308.0).map(lambda t: -(10.0**t)),
+    )
+    def test_routes_overflow_only_where_sigma_does(self, k, e0):
+        exact = exact_sigma(k, e0)
+        largest = mp.mpf(sys.float_info.max)
+        # Within rounding of the largest double either outcome is right.
+        assume(abs(exact / largest - 1) > 1e-12)
+        problem = ScatteringProblem(k=k, e0=e0)
+        for route in (cross_section_closed, cross_section_partial_wave):
+            if exact > largest:
+                with pytest.raises(DomainError):
+                    route(problem)
+            else:
+                assert math.isfinite(route(problem).sigma)

@@ -111,11 +111,20 @@ def test_y0_at_log_node_is_pure_correction_series():
     )
 
 
-@given(st.tuples(in_domain, in_domain).map(sorted))
+# K0 falls strictly, but its computed values carry rounding noise of a few
+# dozen ulp, so two arguments a few ulp apart may tie or swap.  On the
+# domain d ln K0 / d ln z <= -0.14, so a relative gap of 1e-12 moves K0 by
+# at least 1.4e-13 relative, some hundreds of ulp: the order then shows.
+K0_MIN_RELATIVE_GAP = 1e-12
+
+
+@given(
+    st.tuples(in_domain, in_domain)
+    .map(sorted)
+    .filter(lambda pair: pair[1] - pair[0] >= K0_MIN_RELATIVE_GAP * pair[1])
+)
 def test_k0_strictly_decreasing(pair):
     z1, z2 = pair
-    if z1 == z2:
-        return
     assert bessel_k0(z1) > bessel_k0(z2)
 
 
