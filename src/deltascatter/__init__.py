@@ -28,7 +28,6 @@ from .scattering import (
 )
 from .special_functions import (
     EULER_GAMMA,
-    ComplexValue,
     bessel_j0,
     bessel_k0,
     bessel_y0,
@@ -40,7 +39,6 @@ from .special_functions import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComplexValue",
     "CrossSection",
     "DomainError",
     "EULER_GAMMA",

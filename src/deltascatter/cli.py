@@ -36,33 +36,23 @@ EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_DOMAIN = 4
 
-_MODES = {mode.value: mode for mode in RegularizationMode}
-
 # One sweep row: k, ln x, delta0, sigma, sigma*k.  "%#.15g" formats a
 # float exactly as format(value, "#.15g") does, in one call per row.
 _SWEEP_ROW = ",".join(["%#.15g"] * 5) + "\n"
 
-
-def _fmt(value: float) -> str:
-    """15 significant digits with trailing zeros kept; locale-free."""
-    return format(value, "#.15g")
+# The flag that sets each field a library ValidationError names first.
+_FLAGS = {
+    "k": "--k",
+    "e0": "--e0",
+    "eps_start": "--eps-start",
+    "factor": "--eps-factor",
+    "count": "--eps-count",
+}
 
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValidationError(message)
-
-
-def _problem(args: argparse.Namespace) -> ScatteringProblem:
-    _require(
-        math.isfinite(args.k) and args.k > 0.0,
-        f"--k must be finite and positive, got {args.k!r}",
-    )
-    _require(
-        math.isfinite(args.e0) and args.e0 < 0.0,
-        f"--e0 must be negative (a bound state needs e0 < 0), got {args.e0!r}",
-    )
-    return ScatteringProblem(k=args.k, e0=args.e0)
 
 
 def _schedule(args: argparse.Namespace, problem: ScatteringProblem) -> EpsilonSchedule:
@@ -74,29 +64,16 @@ def _schedule(args: argparse.Namespace, problem: ScatteringProblem) -> EpsilonSc
     """
     default = EpsilonSchedule.default_for(problem)
     if args.eps_start is None:
-        eps_start = default.eps_start
+        eps_start, count = default.eps_start, default.count
     else:
-        _require(
-            math.isfinite(args.eps_start) and args.eps_start > 0.0,
-            f"--eps-start must be finite and positive, got {args.eps_start!r}",
-        )
-        eps_start = args.eps_start
-    _require(
-        0.0 < args.eps_factor < 1.0,
-        f"--eps-factor must lie in (0, 1), got {args.eps_factor!r}",
-    )
-    if args.eps_count is None:
-        count = default.count if args.eps_start is None else 5
-    else:
-        _require(
-            args.eps_count >= 2, f"--eps-count must be >= 2, got {args.eps_count!r}"
-        )
+        eps_start, count = args.eps_start, 5
+    if args.eps_count is not None:
         count = args.eps_count
     return EpsilonSchedule(eps_start=eps_start, factor=args.eps_factor, count=count)
 
 
 def run_cross_section(args: argparse.Namespace) -> tuple[list[str], int]:
-    problem = _problem(args)
+    problem = ScatteringProblem(k=args.k, e0=args.e0)
     status = EXIT_OK
     if args.method == "closed":
         sigma = cross_section_closed(problem).sigma
@@ -104,33 +81,28 @@ def run_cross_section(args: argparse.Namespace) -> tuple[list[str], int]:
         sigma = cross_section_partial_wave(problem).sigma
     else:
         schedule = _schedule(args, problem)
-        estimate = limit_extrapolate(problem, schedule, _MODES[args.mode])
+        estimate = limit_extrapolate(problem, schedule, RegularizationMode(args.mode))
         sigma = estimate.sigma_limit
         if not estimate.converged:
             status = EXIT_NO_CONVERGENCE
-    record = [
-        _fmt(problem.k),
-        _fmt(problem.e0),
-        _fmt(problem.x),
-        _fmt(problem.log_x),
-        args.method,
-        _fmt(sigma),
-    ]
-    return ["k,e0,x,ln_x,method,sigma\n", ",".join(record) + "\n"], status
+    record = "%#.15g,%#.15g,%#.15g,%#.15g,%s,%#.15g\n" % (
+        problem.k, problem.e0, problem.x, problem.log_x, args.method, sigma
+    )
+    return ["k,e0,x,ln_x,method,sigma\n", record], status
 
 
 def run_limit_study(args: argparse.Namespace) -> tuple[list[str], int]:
-    problem = _problem(args)
+    problem = ScatteringProblem(k=args.k, e0=args.e0)
     schedule = _schedule(args, problem)
-    estimate = limit_extrapolate(problem, schedule, _MODES[args.mode])
+    estimate = limit_extrapolate(problem, schedule, RegularizationMode(args.mode))
     sigma_closed = cross_section_closed(problem).sigma
     lines = ["eps,sigma_eps,abs_err_vs_closed\n"]
     for eps, sigma_eps in estimate.samples:
         lines.append(
-            f"{_fmt(eps)},{_fmt(sigma_eps)},{_fmt(abs(sigma_eps - sigma_closed))}\n"
+            "%#.15g,%#.15g,%#.15g\n" % (eps, sigma_eps, abs(sigma_eps - sigma_closed))
         )
     lines.append(
-        f"limit,{_fmt(estimate.sigma_limit)},{_fmt(estimate.error_estimate)}\n"
+        "limit,%#.15g,%#.15g\n" % (estimate.sigma_limit, estimate.error_estimate)
     )
     return lines, EXIT_OK if estimate.converged else EXIT_NO_CONVERGENCE
 
@@ -157,13 +129,9 @@ def _sweep_rows(e0: float, grid: Iterable[float]) -> Iterator[str]:
 def run_sweep(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     """The sweep table as lazily computed lines, after checking every flag.
 
-    All validation happens here, before the first line is produced, so a
-    bad flag writes nothing; an error in a later row ends the table there.
+    Every flag is checked before the first line, --e0 by building the first
+    row's problem, so a bad flag writes nothing; a later error ends the table.
     """
-    _require(
-        math.isfinite(args.e0) and args.e0 < 0.0,
-        f"--e0 must be negative (a bound state needs e0 < 0), got {args.e0!r}",
-    )
     _require(
         math.isfinite(args.k_min) and args.k_min > 0.0,
         f"--k-min must be finite and positive, got {args.k_min!r}",
@@ -177,6 +145,7 @@ def run_sweep(args: argparse.Namespace) -> tuple[Iterator[str], int]:
         f"--k-min must be below --k-max, got {args.k_min!r} >= {args.k_max!r}",
     )
     _require(args.points >= 2, f"--points must be >= 2, got {args.points!r}")
+    ScatteringProblem(k=args.k_min, e0=args.e0)
     grid = _geometric_grid(args.k_min, args.k_max, args.points)
     return _sweep_rows(args.e0, grid), EXIT_OK
 
@@ -191,7 +160,7 @@ def _add_problem_flags(sub: argparse.ArgumentParser) -> None:
 def _add_schedule_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--mode",
-        choices=sorted(_MODES),
+        choices=sorted(mode.value for mode in RegularizationMode),
         default=RegularizationMode.FULL.value,
         help="how the cutoff bracket is evaluated",
     )
@@ -248,6 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     cross = subparsers.add_parser(
         "cross-section", help="one (k, e0) pair by a chosen route"
     )
+    cross.set_defaults(run=run_cross_section)
     _add_problem_flags(cross)
     cross.add_argument(
         "--method",
@@ -261,6 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     study = subparsers.add_parser(
         "limit-study", help="sigma(eps) trace down a cutoff schedule"
     )
+    study.set_defaults(run=run_limit_study)
     _add_problem_flags(study)
     _add_schedule_flags(study)
     _add_output_flag(study)
@@ -268,6 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = subparsers.add_parser(
         "sweep", help="closed-form observables over a momentum grid"
     )
+    sweep.set_defaults(run=run_sweep)
     sweep.add_argument(
         "--e0", type=float, required=True, help="bound-state energy, must be negative"
     )
@@ -279,13 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_RUNNERS = {
-    "cross-section": run_cross_section,
-    "limit-study": run_limit_study,
-    "sweep": run_sweep,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -295,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
         # as a return value so callers always get an int.
         return int(exc.code or 0)
     try:
-        lines, status = _RUNNERS[args.subcommand](args)
+        lines, status = args.run(args)
         if args.output is None:
             sys.stdout.writelines(lines)
             sys.stdout.flush()
@@ -303,7 +268,8 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.output, "w", encoding="ascii", newline="\n") as handle:
                 handle.writelines(lines)
     except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        field, space, rest = str(exc).partition(" ")
+        print(f"error: {_FLAGS.get(field, field)}{space}{rest}", file=sys.stderr)
         return EXIT_VALIDATION
     except (DomainError, SingularityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,11 +29,13 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, SingularityError, ValidationError
-from .scattering import ScatteringProblem
+from .scattering import ScatteringProblem, _checked_sigma
 from .special_functions import (
+    SERIES_Z_MAX,
     TWO_OVER_PI,
     bessel_k0,
     hankel1_0,
@@ -45,7 +47,7 @@ from .special_functions import (
 # is exact, so the asymptotic-mode bracket cancels bitwise at resonance.
 _INV_TWO_PI = 0.25 * TWO_OVER_PI
 
-_SERIES_Z_MAX = 2.0
+_FLOAT_MAX = sys.float_info.max
 _CONVERGENCE_RTOL = 1e-8
 
 
@@ -94,7 +96,7 @@ class EpsilonSchedule:
         eps_start = 1e-2
         count = 5
         scale = max(problem.k, problem.bound_state_scale)
-        while scale * eps_start > _SERIES_Z_MAX:
+        while scale * eps_start > SERIES_Z_MAX:
             eps_start *= 1e-1
             count += 1
         return cls(eps_start=eps_start, factor=1e-1, count=count)
@@ -124,49 +126,60 @@ class LimitEstimate:
             raise ValidationError("samples must be strictly decreasing in eps")
 
 
-def _series_argument(value: float, label: str) -> float:
-    if value > _SERIES_Z_MAX:
-        raise DomainError(
-            f"{label} = {value!r} exceeds the series domain bound {_SERIES_Z_MAX}; "
-            "use a smaller eps"
-        )
-    return value
-
-
 def regularized_cross_section(
     problem: ScatteringProblem, eps: float, mode: RegularizationMode
 ) -> float:
-    """sigma(eps) at one finite cutoff, under the given evaluation mode."""
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise DomainError(f"eps must be finite and positive, got {eps!r}")
+    """sigma(eps) at one finite cutoff, under the given evaluation mode.
+
+    DomainError unless mu*eps and k*eps are positive and finite and,
+    outside TRUNCATED_LOG, in the series domain, or where sigma(eps)
+    overflows.  The message says which eps, if any, would do.
+    """
     z_mu = problem.bound_state_scale * eps
     z_k = problem.k * eps
+    z_max = _FLOAT_MAX if mode is RegularizationMode.TRUNCATED_LOG else SERIES_Z_MAX
+    if not (0.0 < z_mu <= z_max and 0.0 < z_k <= z_max):
+        low, high = sorted((problem.k, problem.bound_state_scale))
+        if low * (z_max / high) == 0.0:
+            hint = "no eps keeps both there for this k and e0"
+        elif max(z_mu, z_k) > z_max:
+            hint = "use a smaller eps"
+        else:
+            hint = "use a larger eps"
+        if z_max == SERIES_Z_MAX:
+            bound = f"in the series domain (0, {z_max!r}]"
+        else:
+            bound = "positive and finite"
+        raise DomainError(
+            f"at k={problem.k!r}, e0={problem.e0!r}, eps={eps!r} the cutoff "
+            f"arguments mu*eps = {z_mu!r} and k*eps = {z_k!r} are not both "
+            f"{bound}; {hint}"
+        )
     if mode is RegularizationMode.FULL:
-        k0_value = bessel_k0(_series_argument(z_mu, "mu*eps"))
-        h0 = hankel1_0(_series_argument(z_k, "k*eps"))
-        h0_re, h0_im = h0.re, h0.im
+        k0_value, h0 = bessel_k0(z_mu), hankel1_0(z_k)
     elif mode is RegularizationMode.ASYMPTOTIC:
-        k0_value = k0_small_z(_series_argument(z_mu, "mu*eps"))
-        h0 = hankel1_0_small_z(_series_argument(z_k, "k*eps"))
-        h0_re, h0_im = h0.re, h0.im
+        k0_value, h0 = k0_small_z(z_mu), hankel1_0_small_z(z_k)
     elif mode is RegularizationMode.TRUNCATED_LOG:
         # Bare logarithms only; no ln 2, no gamma, no real part of H0.
         k0_value = -math.log(z_mu)
-        h0_re = 0.0
-        h0_im = TWO_OVER_PI * math.log(z_k)
+        h0 = complex(0.0, TWO_OVER_PI * math.log(z_k))
     else:
         raise ValidationError(f"unknown regularization mode: {mode!r}")
-    # bracket = K0/(2 pi) - (i/4) H0 = K0/(2 pi) + H0.im/4 - i H0.re/4, on
-    # plain floats; sign flips and adding 0.0 are exact, so a resonant
+    # bracket = K0/(2 pi) - (i/4) H0 = K0/(2 pi) + H0.imag/4 - i H0.real/4,
+    # on plain floats; sign flips and adding 0.0 are exact, so a resonant
     # bracket still cancels to exactly zero.
-    bracket_re = _INV_TWO_PI * k0_value + 0.25 * h0_im
-    bracket_im = -0.25 * h0_re
+    bracket_re = _INV_TWO_PI * k0_value + 0.25 * h0.imag
+    bracket_im = -0.25 * h0.real
     modulus_sq = bracket_re * bracket_re + bracket_im * bracket_im
+    if modulus_sq == 0.0 and mode is RegularizationMode.TRUNCATED_LOG:
+        # The two bare logs can round equal off resonance (|ln x| up to
+        # about 4e-15); their exact difference -ln x vanishes only at it.
+        modulus_sq = (_INV_TWO_PI * problem.log_x) ** 2
     if modulus_sq == 0.0:
         raise SingularityError(
             "the regularizing bracket vanished; sigma(eps) is undefined here"
         )
-    return 1.0 / (4.0 * problem.k * modulus_sq)
+    return _checked_sigma(problem, 1.0, 4.0 * modulus_sq)
 
 
 def limit_extrapolate(
@@ -202,11 +215,12 @@ def mead_godines_wrong_limit(problem: ScatteringProblem) -> float:
     erases the pi^2 in the denominator, and the two expressions agree
     only as |ln x| -> infinity.  At resonance (ln x = 0) this expression
     diverges while the true cross section stays finite at 4/k, so that
-    case raises SingularityError.
+    case raises SingularityError, and one beyond the largest double
+    DomainError.
     """
     log_x = problem.log_x
     if log_x == 0.0:
         raise SingularityError(
             "the truncated-log limit diverges at resonance (ln x = 0)"
         )
-    return math.pi * math.pi / (problem.k * log_x * log_x)
+    return _checked_sigma(problem, math.pi * math.pi, log_x * log_x)

@@ -100,19 +100,28 @@ class PhaseShift:
             raise ValidationError(f"delta0 must lie in (0, pi), got {self.delta0!r}")
 
 
-def _cross_section(problem: ScatteringProblem, sigma: float) -> CrossSection:
-    """sigma as a CrossSection, or a DomainError where it overflowed.
+def _checked_sigma(
+    problem: ScatteringProblem, numerator: float, denominator: float
+) -> float:
+    """numerator/(k*denominator) as a cross section, for all three routes.
 
-    For valid (k, e0) the true cross section is positive, and even at the
-    extremes of the doubles it stays above 4e-314, so overflow is the only
-    way out of range: at e0 = -1 that happens for k below about 1e-313.
+    Where k*denominator overflows, k divides last instead.  For valid
+    (k, e0) every route's cross section is positive and, even at the
+    extremes of the doubles, stays above 1e-314, so with that order of
+    division overflow is the only way out of range.  It raises DomainError:
+    at e0 = -1 that happens for k below about 1e-313.
     """
+    k_denominator = problem.k * denominator
+    if k_denominator == math.inf:
+        sigma = numerator / denominator / problem.k
+    else:
+        sigma = numerator / k_denominator
     if sigma == math.inf:
         raise DomainError(
             f"the cross section at k={problem.k!r}, e0={problem.e0!r} "
             "exceeds the largest double"
         )
-    return CrossSection(sigma)
+    return sigma
 
 
 def _tan_delta0(problem: ScatteringProblem) -> float:
@@ -127,15 +136,11 @@ def cross_section_closed(problem: ScatteringProblem) -> CrossSection:
     """Closed-form total cross section 4 pi^2 / (k [pi^2 + 4 (ln x)^2]).
 
     Maximal at resonance (ln x = 0), where it saturates the s-wave
-    unitarity bound sigma = 4/k.  For k near the float maximum, where
-    k * denominator overflows, k divides last instead.
+    unitarity bound sigma = 4/k.
     """
     log_x = problem.log_x
     denominator = _PI_SQ + 4.0 * log_x * log_x
-    k_denominator = problem.k * denominator
-    if k_denominator == math.inf:
-        return _cross_section(problem, 4.0 * _PI_SQ / denominator / problem.k)
-    return _cross_section(problem, 4.0 * _PI_SQ / k_denominator)
+    return CrossSection(_checked_sigma(problem, 4.0 * _PI_SQ, denominator))
 
 
 def s_wave_phase_shift(problem: ScatteringProblem) -> PhaseShift:
@@ -182,4 +187,4 @@ def cross_section_partial_wave(problem: ScatteringProblem, m_max: int = 0) -> Cr
     if not isinstance(m_max, int) or m_max < 0:
         raise ValidationError(f"m_max must be a non-negative integer, got {m_max!r}")
     sin_sq = sin_sq_from_tan(_tan_delta0(problem))
-    return _cross_section(problem, 4.0 * sin_sq / problem.k)
+    return CrossSection(_checked_sigma(problem, 4.0 * sin_sq, 1.0))

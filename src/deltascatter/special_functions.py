@@ -11,7 +11,7 @@ silently losing precision.  Stdlib only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 
 from .errors import DomainError
 
@@ -22,7 +22,9 @@ EULER_GAMMA = 0.5772156649015329
 #: callers is built from the same rounded constant.
 TWO_OVER_PI = 2.0 / math.pi
 
-_Z_MAX = 2.0
+#: Upper end of the series domain 0 < z <= SERIES_Z_MAX.
+SERIES_Z_MAX = 2.0
+_NORMAL_MIN = sys.float_info.min
 
 # Ascending-series truncation: stop once a term falls below this fraction
 # of the running sum, or after _MAX_TERMS terms (never reached for z <= 2).
@@ -30,36 +32,22 @@ _REL_FLOOR = 1e-16
 _MAX_TERMS = 60
 
 
-@dataclass(frozen=True)
-class ComplexValue:
-    """A complex number as an explicit (re, im) pair of floats."""
-
-    re: float
-    im: float
-
-    def add(self, other: "ComplexValue") -> "ComplexValue":
-        return ComplexValue(self.re + other.re, self.im + other.im)
-
-    def scale(self, factor: float) -> "ComplexValue":
-        return ComplexValue(factor * self.re, factor * self.im)
-
-    def times_i(self) -> "ComplexValue":
-        """Multiply by the imaginary unit: i(a + ib) = -b + ia."""
-        return ComplexValue(-self.im, self.re)
-
-    def modulus_squared(self) -> float:
-        return self.re * self.re + self.im * self.im
-
-
 def _require_series_domain(z: float, name: str) -> None:
     # NaN fails the comparison and lands here too.
-    if not (0.0 < z <= _Z_MAX):
-        raise DomainError(f"{name} requires 0 < z <= {_Z_MAX}, got {z!r}")
+    if not (0.0 < z <= SERIES_Z_MAX):
+        raise DomainError(f"{name} requires 0 < z <= {SERIES_Z_MAX}, got {z!r}")
 
 
 def _require_positive(z: float, name: str) -> None:
     if not (0.0 < z < math.inf):
         raise DomainError(f"{name} requires finite z > 0, got {z!r}")
+
+
+def _log_half(z: float) -> float:
+    """ln(z/2), as ln z - ln 2 below the normal doubles, where z/2 rounds."""
+    if z < _NORMAL_MIN:
+        return math.log(z) - math.log(2.0)
+    return math.log(0.5 * z)
 
 
 def bessel_j0(z: float) -> float:
@@ -103,7 +91,7 @@ def _y0_given_j0(z: float, j0: float) -> float:
             correction -= harmonic * term
         if harmonic * term < _REL_FLOOR * abs(correction):
             break
-    log_part = (math.log(0.5 * z) + EULER_GAMMA) * j0
+    log_part = (_log_half(z) + EULER_GAMMA) * j0
     return TWO_OVER_PI * (log_part + correction)
 
 
@@ -127,23 +115,23 @@ def bessel_k0(z: float) -> float:
         correction += harmonic * term
         if term < _REL_FLOOR * i0:
             break
-    return -(math.log(0.5 * z) + EULER_GAMMA) * i0 + correction
+    return -(_log_half(z) + EULER_GAMMA) * i0 + correction
 
 
-def hankel1_0(z: float) -> ComplexValue:
+def hankel1_0(z: float) -> complex:
     """H0(z) = J0(z) + i Y0(z), with one J0 sum serving both components."""
     _require_series_domain(z, "hankel1_0")
     j0 = bessel_j0(z)
-    return ComplexValue(j0, _y0_given_j0(z, j0))
+    return complex(j0, _y0_given_j0(z, j0))
 
 
 def k0_small_z(z: float) -> float:
     """Two-term z -> 0 form of K0: -ln(z/2) - gamma."""
     _require_positive(z, "k0_small_z")
-    return -math.log(0.5 * z) - EULER_GAMMA
+    return -_log_half(z) - EULER_GAMMA
 
 
-def hankel1_0_small_z(z: float) -> ComplexValue:
+def hankel1_0_small_z(z: float) -> complex:
     """Two-term z -> 0 form of H0: 1 + (2i/pi)(ln(z/2) + gamma)."""
     _require_positive(z, "hankel1_0_small_z")
-    return ComplexValue(1.0, TWO_OVER_PI * (math.log(0.5 * z) + EULER_GAMMA))
+    return complex(1.0, TWO_OVER_PI * (_log_half(z) + EULER_GAMMA))

@@ -127,8 +127,8 @@ def test_criterion_5_asymptotic_order():
         h, h_small = hankel1_0(z), hankel1_0_small_z(z)
         diffs = (
             abs(bessel_k0(z) - k0_small_z(z)),
-            abs(h.re - h_small.re),
-            abs(h.im - h_small.im),
+            abs(h.real - h_small.real),
+            abs(h.imag - h_small.imag),
         )
         for label, diff in zip(("k0", "h-re", "h-im"), diffs):
             if diff > bound:

@@ -1,10 +1,13 @@
+import contextlib
+import hashlib
+import io
 import math
 import subprocess
 import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltascatter.cli import (
@@ -29,6 +32,63 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# (argv, exit code, sha256 of stdout) for the acceptance goldens, the README
+# examples, the extreme finite inputs, limit-study in every mode, a sweep
+# across 600 decades and a run that ends in the convergence warning.  A
+# refactor that moves one byte of these tables, or one exit code, fails here.
+PINNED_OUTPUTS = [
+    ("cross-section --k 1 --e0 -1 --method closed", 0,
+     "9fd1075397fcddc7cbdb7d386333d80f8b101dd20e77abc252d0473f78560276"),
+    ("cross-section --k 1 --e0 -1 --method partial-wave", 0,
+     "c89039fa0cd6d8b5ea25a23d62a5938eace5c1c0f4aad812058e39b1addc8329"),
+    ("cross-section --k 2 --e0 -29.556224395722598 --method limit", 0,
+     "69823d97f166d3143c798f867d389bb0cf7883c5f4f5670701bd679c4a152730"),
+    ("limit-study --k 1 --e0 -1", 0,
+     "8edbe6ef6de1f84351d7ae6ea461fd85a79a2fb6a6c9171ec2e2560710afcb6e"),
+    ("limit-study --k 1 --e0 -7.3890560989306495 --mode truncated-log", 0,
+     "390179f21369408b010e79c51f926b8ecfcee0b11f2f9bdc4fa4e45808998346"),
+    ("limit-study --k 1 --e0 -1 --mode asymptotic", 0,
+     "1bf1dffa758c4b85b1fccb5d3467f2e2cf1811a6768bcb8f775c8c03fa9dd48b"),
+    ("sweep --e0 -1 --k-min 0.1 --k-max 10 --points 5", 0,
+     "3fcc5dae8b26105ef0dfc2f856ac9c4659ef3934606fe5410d70149ae711226a"),
+    ("sweep --e0 -1 --k-min 0.5 --k-max 2 --points 9", 0,
+     "d8c00c773d8aa07b5ee27d9b38de5686087e175b31a23057ac46112c85a253d0"),
+    ("sweep --e0 -4 --k-min 1 --k-max 4 --points 7", 0,
+     "918ec5042b94014b5742b225beaa501dfd976496dcbf03addb86dde04935a96e"),
+    ("cross-section --k 1 --e0 -2.5", 0,
+     "52e17be50db658c369adac810281b2df0fbf97d1c2cbefa569813c6b3ba57ed3"),
+    ("cross-section --k 1e300 --e0=-1e-300", 0,
+     "e1a63ce039f93928ef94fcd373f5a8151e9e10a2f42ee1ee6afd53f1c5fcceb1"),
+    ("cross-section --k 1e300 --e0=-1e-300 --method partial-wave", 0,
+     "45d5feb54b0de982383ab62f5a879f449df416cc9f5bd058c6929b004d743331"),
+    ("cross-section --k 1e-300 --e0=-1e300", 0,
+     "df4373b6569ac6cabcdaeda00248f46e3e854877a7300c62fa61b5b341387717"),
+    ("cross-section --k 1e-300 --e0=-1e300 --method partial-wave", 0,
+     "97c60dce8499bbc7b4f46a628bbd94631d85e00534870dd779502884901f5c37"),
+    ("cross-section --k 1e308 --e0=-1", 0,
+     "f422688a9f2744a540b0a1db0c05fdc30154b48c90ed011241f070b5f19fe6f0"),
+    ("cross-section --k 1e308 --e0=-1 --method partial-wave", 0,
+     "a4ee82cccb14ffa6259a4102c58348b1deb052dbcb5399442e0acdc5a43dd74d"),
+    ("limit-study --k 2 --e0=-29.556224395722598 --mode full", 0,
+     "04b08ec417ec649a70c526692e0f9823cdb06c2145788d1516d0e2a8a712732a"),
+    ("limit-study --k 2 --e0=-29.556224395722598 --mode asymptotic", 0,
+     "6a894228e833f1f3e86d90d9a674ec15f97cf8330fa4ec72c6c6cbbd293c3650"),
+    ("limit-study --k 2 --e0=-29.556224395722598 --mode truncated-log", 0,
+     "c9f72e25d68565cc0a6fc47807f4bed9bd2f5c041397c2f8c6dab2c995449eb2"),
+    ("sweep --e0 -3.7 --k-min 1e-300 --k-max 1e300 --points 2001", 0,
+     "004dda7f9a1fc7e13c285e98c1cb43905189273ac6b6cdc840304e1e4ecb1ea4"),
+    ("cross-section --k 1 --e0 -1 --method limit "
+     "--eps-start 0.5 --eps-factor 0.5 --eps-count 2", 3,
+     "68775d1c94fdc1efe0be597300685696ec7f4018415340cc5ba88c3f6d7ea452"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", PINNED_OUTPUTS)
+def test_pinned_output_bytes(capsys, argv, code, digest):
+    actual_code, out, _ = run_cli(capsys, argv.split())
+    assert (actual_code, hashlib.sha256(out.encode("ascii")).hexdigest()) == (code, digest)
 
 
 class TestCrossSection:
@@ -128,6 +188,23 @@ class TestCrossSection:
         )
 
 
+class TestUnderflowedCutoffs:
+    """Where mu*eps underflows to 0 the limit route exits 4, naming the input."""
+
+    @pytest.mark.parametrize("mode", ["full", "asymptotic", "truncated-log"])
+    def test_limit_route(self, capsys, mode):
+        code, out, err = run_cli(
+            capsys,
+            [
+                "cross-section", "--k", "1e300", "--e0=-1e-300",
+                "--method", "limit", "--mode", mode,
+            ],
+        )
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert "k=1e+300, e0=-1e-300, eps=" in err
+        assert "mu*eps = 0.0" in err
+
+
 class TestNegativeExponentValues:
     @pytest.mark.parametrize(
         "head",
@@ -209,6 +286,17 @@ class TestLimitStudy:
             ["limit-study", "--k", "300", "--e0", "-1", "--eps-start", "1e-3"],
         )
         assert len(out.splitlines()) == 5 + 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--eps-start", "-1"), ("--eps-start", "inf"), ("--eps-factor", "1")],
+    )
+    def test_bad_schedule_flag_is_named(self, capsys, flag, value):
+        code, out, err = run_cli(
+            capsys, ["limit-study", "--k", "1", "--e0", "-1", flag, value]
+        )
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith(f"error: {flag} ")
 
     def test_bad_eps_count_exits_two(self, capsys):
         code, _, err = run_cli(
@@ -301,7 +389,7 @@ class TestOutputPlumbing:
 class TestUnrepresentableSigma:
     """Valid input whose cross section exceeds the largest double exits 4."""
 
-    @pytest.mark.parametrize("method", ["closed", "partial-wave"])
+    @pytest.mark.parametrize("method", ["closed", "partial-wave", "limit"])
     def test_cross_section(self, capsys, method):
         code, out, err = run_cli(
             capsys, ["cross-section", "--k", "1e-320", "--e0=-1", "--method", method]
@@ -309,6 +397,20 @@ class TestUnrepresentableSigma:
         assert (code, out) == (EXIT_DOMAIN, "")
         assert "k=1e-320, e0=-1.0" in err and "largest double" in err
         assert "sigma must" not in err
+
+    @pytest.mark.parametrize("mode", ["full", "asymptotic"])
+    def test_tiny_sigma_by_the_limit_route(self, capsys, mode):
+        # 4*k*|bracket|^2 overflows at k = 1e304; sigma itself is 2.0e-309.
+        head = ["cross-section", "--k", "1e304", "--e0=-1"]
+        _, closed, _ = run_cli(capsys, head)
+        code, out, err = run_cli(
+            capsys, head + ["--method", "limit", "--mode", mode, "--eps-count", "5"]
+        )
+        assert (code, err) == (EXIT_OK, "")
+        sigma = float(out.splitlines()[1].split(",")[-1])
+        assert sigma == pytest.approx(
+            float(closed.splitlines()[1].split(",")[-1]), rel=1e-9, abs=0.0
+        )
 
     def test_limit_study(self, capsys):
         # The closed-form column of the study is what cannot be represented.
@@ -380,3 +482,38 @@ class TestStreamedSweep:
         proc.stderr.close()
         assert head.startswith(b"k,ln_x,delta0,sigma,sigma_times_k\n")
         assert (code, err) == (EXIT_OK, b"")
+
+
+def log_uniform(low, high):
+    return st.floats(math.log(low), math.log(high)).map(math.exp)
+
+
+@st.composite
+def cli_argvs(draw):
+    """Any argv of the cross-section/limit-study grammar, over all doubles."""
+    subcommand = draw(st.sampled_from(["cross-section", "limit-study"]))
+    k = draw(log_uniform(1e-320, 1e308))
+    e0 = -draw(log_uniform(1e-320, 1e308))
+    argv = [subcommand, "--k", repr(k), f"--e0={e0!r}"]
+    if subcommand == "cross-section":
+        argv += ["--method", draw(st.sampled_from(["closed", "partial-wave", "limit"]))]
+    argv += ["--mode", draw(st.sampled_from(["full", "asymptotic", "truncated-log"]))]
+    for flag, values in (
+        ("--eps-start", log_uniform(1e-320, 1e308)),
+        ("--eps-factor", st.floats(0.0, 1.0)),
+        ("--eps-count", st.integers(0, 8)),
+    ):
+        value = draw(st.none() | values)
+        if value is not None:
+            argv.append(f"{flag}={value!r}")
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(cli_argvs())
+def test_no_argv_in_the_grammar_exits_one(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NO_CONVERGENCE, EXIT_DOMAIN)

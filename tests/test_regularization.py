@@ -16,7 +16,6 @@ from deltascatter.regularization import (
 from deltascatter.scattering import ScatteringProblem, cross_section_closed
 from deltascatter.special_functions import (
     TWO_OVER_PI,
-    ComplexValue,
     bessel_k0,
     hankel1_0,
     hankel1_0_small_z,
@@ -37,7 +36,7 @@ modes = st.sampled_from(list(RegularizationMode))
 
 
 def complex_chain_sigma(problem, eps, mode):
-    """sigma(eps) with the bracket built as a chain of ComplexValue steps."""
+    """sigma(eps) with the bracket built by builtin complex arithmetic."""
     z_mu = problem.bound_state_scale * eps
     z_k = problem.k * eps
     if mode is RegularizationMode.FULL:
@@ -46,11 +45,9 @@ def complex_chain_sigma(problem, eps, mode):
         k0_value, h0 = k0_small_z(z_mu), hankel1_0_small_z(z_k)
     else:
         k0_value = -math.log(z_mu)
-        h0 = ComplexValue(0.0, TWO_OVER_PI * math.log(z_k))
-    bracket = ComplexValue(k0_value, 0.0).scale(0.25 * TWO_OVER_PI).add(
-        h0.times_i().scale(-0.25)
-    )
-    modulus_sq = bracket.modulus_squared()
+        h0 = complex(0.0, TWO_OVER_PI * math.log(z_k))
+    bracket = complex(k0_value, 0.0) * (0.25 * TWO_OVER_PI) + 1j * h0 * -0.25
+    modulus_sq = bracket.real * bracket.real + bracket.imag * bracket.imag
     if modulus_sq == 0.0:
         return None
     return 1.0 / (4.0 * problem.k * modulus_sq)
@@ -130,11 +127,52 @@ class TestRegularizedCrossSection:
             regularized_cross_section(problem_at(1.0, 0.0), eps, RegularizationMode.FULL)
 
     @pytest.mark.parametrize(
+        "mode, hint",
+        [
+            # mu/k = 1e-450: no eps puts both products in (0, 2].
+            (RegularizationMode.FULL, "not both in the series domain (0, 2.0]; no eps"),
+            (RegularizationMode.ASYMPTOTIC, "series domain (0, 2.0]; no eps"),
+            # Without the series bound eps = 1e-170 would do.
+            (RegularizationMode.TRUNCATED_LOG, "positive and finite; use a larger eps"),
+        ],
+    )
+    def test_underflowed_cutoff_names_the_input(self, mode, hint):
+        problem = ScatteringProblem(k=1e300, e0=-1e-300)
+        with pytest.raises(DomainError, match=r"k=1e\+300, e0=-1e-300, eps=1e-301") as info:
+            regularized_cross_section(problem, 1e-301, mode)
+        assert hint in str(info.value)
+        regularized_cross_section(problem, 1e-170, RegularizationMode.TRUNCATED_LOG)
+
+    @pytest.mark.parametrize("mode", list(RegularizationMode))
+    def test_overflowing_sigma_raises(self, mode):
+        problem = ScatteringProblem(k=1e-320, e0=-1.0)
+        with pytest.raises(DomainError, match="largest double"):
+            regularized_cross_section(problem, 1e-2, mode)
+
+    @pytest.mark.parametrize("mode", list(RegularizationMode))
+    def test_tiny_sigma_is_not_zero(self, mode):
+        # 4*k*|bracket|^2 overflows here; sigma itself is about 2e-309.
+        problem = ScatteringProblem(k=1e304, e0=-1.0)
+        eps = 1e-305
+        sigma = regularized_cross_section(problem, eps, mode)
+        closed = cross_section_closed(problem).sigma
+        if mode is RegularizationMode.TRUNCATED_LOG:
+            closed = mead_godines_wrong_limit(problem)
+        assert sigma == pytest.approx(closed, rel=1e-3, abs=0.0)
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 5.96e-8])
+    def test_truncated_logs_that_round_equal_off_resonance(self, eps):
+        # ln x = 2.2e-16: the two bare logs round equal, but ln x is not 0.
+        problem = ScatteringProblem(k=1.0, e0=-1.0000000000000004)
+        sigma = regularized_cross_section(problem, eps, RegularizationMode.TRUNCATED_LOG)
+        assert sigma == pytest.approx(mead_godines_wrong_limit(problem), rel=1e-12)
+
+    @pytest.mark.parametrize(
         "mode", [RegularizationMode.FULL, RegularizationMode.ASYMPTOTIC]
     )
     def test_series_domain_guard(self, mode):
         # mu*eps = 3 exceeds the series domain in both restricted modes
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"\(0, 2\.0\]; use a smaller eps$"):
             regularized_cross_section(problem_at(1.0, 0.0), 3.0, mode)
 
     def test_truncated_accepts_large_eps(self):
@@ -192,7 +230,15 @@ class TestRegularizedCrossSection:
     def test_bit_identical_to_complex_chain(self, mode, k, log_x, eps):
         problem = problem_at(k, log_x)
         expected = complex_chain_sigma(problem, eps, mode)
-        if expected is None:
+        if expected is None and problem.log_x != 0.0:
+            # Only the truncated bare logs can cancel off resonance; there
+            # the bracket is taken as its exact value -ln x/(2 pi).
+            assert mode is RegularizationMode.TRUNCATED_LOG
+            expected = mead_godines_wrong_limit(problem)
+            assert regularized_cross_section(problem, eps, mode) == pytest.approx(
+                expected, rel=1e-12
+            )
+        elif expected is None:
             with pytest.raises(SingularityError):
                 regularized_cross_section(problem, eps, mode)
         else:
