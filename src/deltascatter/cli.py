@@ -58,9 +58,10 @@ def _require(condition: bool, message: str) -> None:
 def _schedule(args: argparse.Namespace, problem: ScatteringProblem) -> EpsilonSchedule:
     """The schedule the flags ask for; omitted flags come from default_for.
 
-    The default count belongs to the default start: default_for lengthens
-    the schedule as it shrinks the start, so its count is taken only when
-    --eps-start is omitted too, and otherwise the count defaults to 5.
+    The default count belongs to the default start: default_for counts
+    the cutoffs that take max(k, mu)*eps from its start down to 7e-6, so
+    its count is taken only when --eps-start is omitted too, and otherwise
+    the count defaults to 5.
     """
     default = EpsilonSchedule.default_for(problem)
     if args.eps_start is None:
@@ -175,8 +176,8 @@ def _add_schedule_flags(sub: argparse.ArgumentParser) -> None:
         "--eps-count",
         type=int,
         default=None,
-        help="number of cutoffs (default: 5, or more when --eps-start is "
-        "omitted and the start was shrunk)",
+        help="number of cutoffs (default: 5, or up to 7 when --eps-start is "
+        "omitted, enough to take max(k, mu)*eps down to 7e-6)",
     )
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import DomainError, SingularityError, ValidationError
@@ -77,27 +78,37 @@ class EpsilonSchedule:
         if not isinstance(self.count, int) or self.count < 2:
             raise ValidationError(f"count must be an integer >= 2, got {self.count!r}")
 
-    def epsilons(self) -> list[float]:
-        return [self.eps_start * self.factor**i for i in range(self.count)]
+    def epsilons(self) -> Iterator[float]:
+        """eps_start * factor**i for i < count, computed as they are taken.
 
-    @classmethod
-    def default(cls) -> "EpsilonSchedule":
-        return cls(eps_start=1e-2, factor=1e-1, count=5)
+        Cutoffs that round equal trace a plateau that only looks converged,
+        so the first positive one not below the last raises ValidationError.
+        """
+        previous = math.inf
+        for i in range(self.count):
+            eps = self.eps_start * self.factor**i
+            if eps >= previous and eps > 0.0:
+                raise ValidationError(
+                    f"factor must shrink every cutoff, but cutoff {i + 1}, "
+                    f"{eps!r}, is not below {previous!r}"
+                )
+            previous = eps
+            yield eps
 
     @classmethod
     def default_for(cls, problem: ScatteringProblem) -> "EpsilonSchedule":
         """Default schedule adapted to the problem's momentum scales.
 
-        eps_start shrinks tenfold until the largest cutoff keeps both
-        k*eps and mu*eps inside the series domain; count grows by one
-        per shrink so the smallest cutoff stays as deep as the stock
-        default's.
+        eps_start shrinks tenfold from 1e-2 until k*eps and mu*eps fit the
+        series domain; count grows from 5 until max(k, mu)*eps falls to
+        7e-6, where the last two FULL samples pass the convergence test.
         """
         eps_start = 1e-2
-        count = 5
         scale = max(problem.k, problem.bound_state_scale)
         while scale * eps_start > SERIES_Z_MAX:
             eps_start *= 1e-1
+        count = 5
+        while scale * (eps_start * 1e-1 ** (count - 1)) > 7e-6:
             count += 1
         return cls(eps_start=eps_start, factor=1e-1, count=count)
 
@@ -115,15 +126,6 @@ class LimitEstimate:
     error_estimate: float
     samples: tuple[tuple[float, float], ...]
     converged: bool
-
-    def __post_init__(self) -> None:
-        if len(self.samples) < 2:
-            raise ValidationError("samples must hold at least two entries")
-        if self.error_estimate < 0.0:
-            raise ValidationError("error_estimate must be non-negative")
-        eps_values = [eps for eps, _ in self.samples]
-        if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
-            raise ValidationError("samples must be strictly decreasing in eps")
 
 
 def regularized_cross_section(

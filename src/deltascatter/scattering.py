@@ -84,20 +84,12 @@ class CrossSection:
 
     sigma: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValidationError(f"sigma must be finite and positive, got {self.sigma!r}")
-
 
 @dataclass(frozen=True)
 class PhaseShift:
     """An s-wave phase shift on the branch (0, pi)."""
 
     delta0: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.delta0 < math.pi):
-            raise ValidationError(f"delta0 must lie in (0, pi), got {self.delta0!r}")
 
 
 def _checked_sigma(

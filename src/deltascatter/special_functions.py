@@ -89,7 +89,8 @@ def _y0_given_j0(z: float, j0: float) -> float:
             correction += harmonic * term
         else:
             correction -= harmonic * term
-        if harmonic * term < _REL_FLOOR * abs(correction):
+        # Once term underflows to 0.0, every later term adds 0.0.
+        if harmonic * term < _REL_FLOOR * abs(correction) or term == 0.0:
             break
     log_part = (_log_half(z) + EULER_GAMMA) * j0
     return TWO_OVER_PI * (log_part + correction)

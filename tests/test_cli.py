@@ -187,6 +187,17 @@ class TestCrossSection:
             estimate.sigma_limit, "#.15g"
         )
 
+    @pytest.mark.parametrize("k, e0", [("50", "-100"), ("1e200", "-1")])
+    def test_default_schedule_converges_at_any_scale(self, capsys, k, e0):
+        sigma = {}
+        for method in ("closed", "limit"):
+            code, out, err = run_cli(
+                capsys, ["cross-section", "--k", k, f"--e0={e0}", "--method", method]
+            )
+            assert (code, err) == (EXIT_OK, "")
+            sigma[method] = float(out.splitlines()[1].split(",")[-1])
+        assert sigma["limit"] == pytest.approx(sigma["closed"], rel=1e-8)
+
 
 class TestUnderflowedCutoffs:
     """Where mu*eps underflows to 0 the limit route exits 4, naming the input."""
@@ -203,6 +214,22 @@ class TestUnderflowedCutoffs:
         assert (code, out) == (EXIT_DOMAIN, "")
         assert "k=1e+300, e0=-1e-300, eps=" in err
         assert "mu*eps = 0.0" in err
+
+    def test_memory_does_not_grow_with_eps_count(self, capsys):
+        # The cutoffs reach 0 after 322 of the 2 000 000 asked for.
+        argv = [
+            "cross-section", "--k", "1", "--e0=-1", "--method", "limit",
+            "--eps-count", "2000000",
+        ]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == EXIT_DOMAIN
+        assert peak < 2**20
 
 
 class TestNegativeExponentValues:
@@ -289,7 +316,13 @@ class TestLimitStudy:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--eps-start", "-1"), ("--eps-start", "inf"), ("--eps-factor", "1")],
+        [
+            ("--eps-start", "-1"),
+            ("--eps-start", "inf"),
+            ("--eps-factor", "1"),
+            # Rounds cutoff 3 back to cutoff 2.
+            ("--eps-factor", "0.9999999999999999"),
+        ],
     )
     def test_bad_schedule_flag_is_named(self, capsys, flag, value):
         code, out, err = run_cli(
@@ -297,6 +330,16 @@ class TestLimitStudy:
         )
         assert (code, out) == (EXIT_VALIDATION, "")
         assert err.startswith(f"error: {flag} ")
+
+    def test_subnormal_start_names_the_factor(self, capsys):
+        # 0.9 * 5e-324 rounds back to 5e-324.
+        argv = ["limit-study", "--k", "1", "--e0=-2", "--eps-start", "5e-324"]
+        code, out, err = run_cli(capsys, argv + ["--eps-factor", "0.9"])
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == (
+            "error: --eps-factor must shrink every cutoff, but cutoff 2, "
+            "5e-324, is not below 5e-324\n"
+        )
 
     def test_bad_eps_count_exits_two(self, capsys):
         code, _, err = run_cli(

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from deltascatter.errors import DomainError, SingularityError, ValidationError
 from deltascatter.regularization import (
     EpsilonSchedule,
-    LimitEstimate,
     RegularizationMode,
     limit_extrapolate,
     mead_godines_wrong_limit,
@@ -35,6 +34,20 @@ cutoffs = st.floats(min_value=1e-8, max_value=1e-3)
 modes = st.sampled_from(list(RegularizationMode))
 
 
+def log_uniform(low, high):
+    return st.floats(math.log(low), math.log(high)).map(math.exp)
+
+
+# (k, mu): both on [1e-3, 1e3], or k anywhere on [1e-150, 1e150] with
+# mu/k on [1e-3, 1e3].
+scales = st.one_of(
+    st.tuples(log_uniform(1e-3, 1e3), log_uniform(1e-3, 1e3)),
+    st.tuples(log_uniform(1e-150, 1e150), log_uniform(1e-3, 1e3)).map(
+        lambda k_ratio: (k_ratio[0], k_ratio[0] * k_ratio[1])
+    ),
+)
+
+
 def complex_chain_sigma(problem, eps, mode):
     """sigma(eps) with the bracket built by builtin complex arithmetic."""
     z_mu = problem.bound_state_scale * eps
@@ -56,15 +69,19 @@ def complex_chain_sigma(problem, eps, mode):
 class TestEpsilonSchedule:
     def test_epsilons_geometric(self):
         schedule = EpsilonSchedule(eps_start=1e-2, factor=1e-1, count=3)
-        assert schedule.epsilons() == [1e-2 * 1e-1**i for i in range(3)]
-        assert schedule.epsilons() == pytest.approx([1e-2, 1e-3, 1e-4], rel=1e-15)
+        assert list(schedule.epsilons()) == [1e-2 * 1e-1**i for i in range(3)]
+        assert list(schedule.epsilons()) == pytest.approx([1e-2, 1e-3, 1e-4], rel=1e-15)
 
-    def test_default(self):
-        schedule = EpsilonSchedule.default()
+    @given(log_uniform(1e-3, 6.9), log_uniform(1e-3, 6.9))
+    def test_default(self, k, mu):
+        # The one default schedule is the stock one below max(k, mu) = 7.
+        schedule = EpsilonSchedule.default_for(ScatteringProblem(k=k, e0=-mu * mu))
         assert schedule == EpsilonSchedule(eps_start=1e-2, factor=1e-1, count=5)
 
     def test_default_for_plain_problem_is_stock(self):
-        assert EpsilonSchedule.default_for(problem_at(1.0, 0.0)) == EpsilonSchedule.default()
+        assert EpsilonSchedule.default_for(problem_at(1.0, 0.0)) == EpsilonSchedule(
+            eps_start=1e-2, factor=1e-1, count=5
+        )
 
     def test_default_for_shrinks_and_deepens(self):
         # mu = 10 e^3 makes mu*1e-2 overflow the series domain once.
@@ -72,7 +89,7 @@ class TestEpsilonSchedule:
         assert schedule.eps_start == pytest.approx(1e-3)
         assert schedule.count == 6
         problem = problem_at(10.0, 3.0)
-        largest = schedule.epsilons()[0]
+        largest = list(schedule.epsilons())[0]
         assert problem.bound_state_scale * largest <= 2.0
 
     @pytest.mark.parametrize("eps_start", [0.0, -1e-2, math.nan, math.inf])
@@ -90,34 +107,45 @@ class TestEpsilonSchedule:
         with pytest.raises(ValidationError):
             EpsilonSchedule(eps_start=1e-2, factor=0.1, count=count)
 
+    def test_cutoffs_that_fail_to_shrink(self):
+        # 0.9 * 5e-324 rounds back to 5e-324, the smallest subnormal.
+        schedule = EpsilonSchedule(eps_start=5e-324, factor=0.9, count=3)
+        with pytest.raises(ValidationError, match=r"^factor .*cutoff 2, 5e-324,"):
+            list(schedule.epsilons())
+
 
 class TestLimitEstimateType:
+    """A LimitEstimate's contracts, held by its producer limit_extrapolate."""
+
     def test_rejects_single_sample(self):
-        with pytest.raises(ValidationError):
-            LimitEstimate(
-                sigma_limit=1.0,
-                error_estimate=0.0,
-                samples=((1e-2, 1.0),),
-                converged=True,
-            )
+        # Cutoff 2 underflows to 0.0, leaving one usable sample.
+        schedule = EpsilonSchedule(eps_start=1e-300, factor=1e-30, count=2)
+        with pytest.raises(DomainError, match="eps=0.0"):
+            limit_extrapolate(problem_at(1.0, 0.0), schedule, RegularizationMode.FULL)
 
-    def test_rejects_nondecreasing_eps(self):
-        with pytest.raises(ValidationError):
-            LimitEstimate(
-                sigma_limit=1.0,
-                error_estimate=0.0,
-                samples=((1e-3, 1.0), (1e-2, 1.0)),
-                converged=True,
-            )
+    def test_rejects_nondecreasing_eps(self, monkeypatch):
+        sampled = []
 
-    def test_rejects_negative_error(self):
-        with pytest.raises(ValidationError):
-            LimitEstimate(
-                sigma_limit=1.0,
-                error_estimate=-1e-3,
-                samples=((1e-2, 1.0), (1e-3, 1.0)),
-                converged=True,
-            )
+        def sample(problem, eps, mode):
+            sampled.append(eps)
+            return 1.0
+
+        monkeypatch.setattr(
+            "deltascatter.regularization.regularized_cross_section", sample
+        )
+        schedule = EpsilonSchedule(eps_start=5e-324, factor=0.9, count=3)
+        with pytest.raises(ValidationError, match="^factor "):
+            limit_extrapolate(problem_at(1.0, 0.0), schedule, RegularizationMode.FULL)
+        # The cutoff that fails to shrink is never sampled.
+        assert sampled == [5e-324]
+
+    def test_error_is_the_gap_when_sigma_falls(self):
+        problem = ScatteringProblem(k=1.0, e0=-2.0)
+        schedule = EpsilonSchedule(eps_start=1e-2, factor=1e-300, count=2)
+        estimate = limit_extrapolate(problem, schedule, RegularizationMode.FULL)
+        (_, sigma_prev), (_, sigma_last) = estimate.samples
+        assert sigma_last < sigma_prev
+        assert estimate.error_estimate == sigma_prev - sigma_last
 
 
 class TestRegularizedCrossSection:
@@ -255,7 +283,9 @@ class TestRegularizedCrossSection:
 class TestLimitExtrapolate:
     def test_full_mode_reference_case(self):
         estimate = limit_extrapolate(
-            problem_at(1.0, 0.0), EpsilonSchedule.default(), RegularizationMode.FULL
+            problem_at(1.0, 0.0),
+            EpsilonSchedule(eps_start=1e-2, factor=1e-1, count=5),
+            RegularizationMode.FULL,
         )
         assert estimate.converged
         assert estimate.sigma_limit == pytest.approx(4.0, rel=1e-8)
@@ -267,7 +297,9 @@ class TestLimitExtrapolate:
     def test_truncated_mode_converges_to_wrong_value(self):
         problem = problem_at(1.0, 1.0)
         estimate = limit_extrapolate(
-            problem, EpsilonSchedule.default(), RegularizationMode.TRUNCATED_LOG
+            problem,
+            EpsilonSchedule(eps_start=1e-2, factor=1e-1, count=5),
+            RegularizationMode.TRUNCATED_LOG,
         )
         assert estimate.converged
         assert estimate.sigma_limit == pytest.approx(PI_SQ, rel=1e-12)
@@ -275,7 +307,9 @@ class TestLimitExtrapolate:
     def test_asymptotic_resonance_samples_all_exact(self):
         problem = problem_at(2.0, 0.0)
         estimate = limit_extrapolate(
-            problem, EpsilonSchedule.default(), RegularizationMode.ASYMPTOTIC
+            problem,
+            EpsilonSchedule(eps_start=1e-2, factor=1e-1, count=5),
+            RegularizationMode.ASYMPTOTIC,
         )
         assert estimate.converged
         assert estimate.error_estimate == 0.0
@@ -292,6 +326,17 @@ class TestLimitExtrapolate:
         schedule = EpsilonSchedule(eps_start=3.0, factor=0.1, count=2)
         with pytest.raises(DomainError):
             limit_extrapolate(problem_at(1.0, 0.0), schedule, RegularizationMode.FULL)
+
+    @given(scales)
+    def test_default_schedule_converges_at_any_scale(self, k_mu):
+        k, mu = k_mu
+        problem = ScatteringProblem(k=k, e0=-mu * mu)
+        schedule = EpsilonSchedule.default_for(problem)
+        closed = cross_section_closed(problem).sigma
+        for mode in (RegularizationMode.FULL, RegularizationMode.ASYMPTOTIC):
+            estimate = limit_extrapolate(problem, schedule, mode)
+            assert estimate.converged
+            assert estimate.sigma_limit == pytest.approx(closed, rel=1e-8)
 
     @pytest.mark.parametrize("log_x", [-2.0, -0.5, 0.5, 2.0])
     def test_mode_agreement_off_resonance(self, log_x):

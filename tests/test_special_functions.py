@@ -71,6 +71,15 @@ def test_y0_small_argument_divergence():
     assert bessel_y0(z) < -10.0
 
 
+@pytest.mark.parametrize(
+    "z, expected",
+    [(1e-200, "-0x1.253f7fcd3252ap+8"), (5e-324, "-0x1.d9ffc3469e1b2p+8")],
+)
+def test_y0_where_the_series_terms_underflow(z, expected):
+    # z*z underflows, so the correction series stops at its first term.
+    assert bessel_y0(z).hex() == expected
+
+
 def test_k0_small_argument_divergence():
     z = 1e-8
     assert bessel_k0(z) == pytest.approx(-math.log(0.5 * z) - EULER_GAMMA, rel=1e-12)
