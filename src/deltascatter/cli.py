@@ -9,8 +9,9 @@ Subcommands:
 Exit codes: 0 success, 2 invalid input, 3 limit did not converge,
 4 argument outside a function's accuracy domain (which includes the
 singular points where an expression has no finite value, and a cross
-section beyond the largest double).  sweep writes its rows as they are
-computed; an error part way through keeps the rows already written.
+section beyond the largest double).  sweep writes rows from the closed-form
+kernels as they are computed; an error part way through keeps the rows
+already written.
 """
 
 from __future__ import annotations
@@ -26,9 +27,11 @@ from .errors import DomainError, SingularityError, ValidationError
 from .regularization import EpsilonSchedule, RegularizationMode, limit_extrapolate
 from .scattering import (
     ScatteringProblem,
+    _closed_sigma,
+    _delta0,
+    _ln_x,
     cross_section_closed,
     cross_section_partial_wave,
-    s_wave_phase_shift,
 )
 
 EXIT_OK = 0
@@ -58,13 +61,11 @@ def _require(condition: bool, message: str) -> None:
 def _schedule(args: argparse.Namespace, problem: ScatteringProblem) -> EpsilonSchedule:
     """The schedule the flags ask for; omitted flags come from default_for.
 
-    The default count belongs to the default start: default_for counts
-    the cutoffs that take max(k, mu)*eps from its start down to 7e-6, so
-    its count is taken only when --eps-start is omitted too, and otherwise
-    the count defaults to 5.
+    default_for's count, at --eps-factor, belongs to its start, so it is
+    taken only with --eps-start omitted; otherwise the count defaults to 5.
     """
-    default = EpsilonSchedule.default_for(problem)
     if args.eps_start is None:
+        default = EpsilonSchedule.default_for(problem, args.eps_factor)
         eps_start, count = default.eps_start, default.count
     else:
         eps_start, count = args.eps_start, 5
@@ -119,12 +120,14 @@ def _geometric_grid(k_min: float, k_max: float, points: int) -> Iterator[float]:
 
 
 def _sweep_rows(e0: float, grid: Iterable[float]) -> Iterator[str]:
+    """Rows from the object API's kernels, with no object per row: e0 is
+    checked already, and every grid k lies between checked endpoints."""
     yield "k,ln_x,delta0,sigma,sigma_times_k\n"
+    mu = math.sqrt(-e0)
     for k in grid:
-        problem = ScatteringProblem(k=k, e0=e0)
-        sigma = cross_section_closed(problem).sigma
-        delta0 = s_wave_phase_shift(problem).delta0
-        yield _SWEEP_ROW % (k, problem.log_x, delta0, sigma, sigma * k)
+        log_x = _ln_x(mu, k)
+        sigma = _closed_sigma(k, e0, log_x)
+        yield _SWEEP_ROW % (k, log_x, _delta0(log_x), sigma, sigma * k)
 
 
 def run_sweep(args: argparse.Namespace) -> tuple[Iterator[str], int]:
@@ -176,8 +179,8 @@ def _add_schedule_flags(sub: argparse.ArgumentParser) -> None:
         "--eps-count",
         type=int,
         default=None,
-        help="number of cutoffs (default: 5, or up to 7 when --eps-start is "
-        "omitted, enough to take max(k, mu)*eps down to 7e-6)",
+        help="number of cutoffs (default: 5 with --eps-start, otherwise enough "
+        "at --eps-factor to take max(k, mu)*eps down to 7e-6)",
     )
 
 

@@ -96,21 +96,27 @@ class EpsilonSchedule:
             yield eps
 
     @classmethod
-    def default_for(cls, problem: ScatteringProblem) -> "EpsilonSchedule":
+    def default_for(
+        cls, problem: ScatteringProblem, factor: float = 1e-1
+    ) -> "EpsilonSchedule":
         """Default schedule adapted to the problem's momentum scales.
 
         eps_start shrinks tenfold from 1e-2 until k*eps and mu*eps fit the
-        series domain; count grows from 5 until max(k, mu)*eps falls to
-        7e-6, where the last two FULL samples pass the convergence test.
+        series domain; count grows from 5 until max(k, mu)*eps, falling by
+        factor, reaches 7e-6 (where the last two FULL samples pass the
+        convergence test) or, for a factor near 1, count reaches 10 000.
         """
         eps_start = 1e-2
         scale = max(problem.k, problem.bound_state_scale)
         while scale * eps_start > SERIES_Z_MAX:
             eps_start *= 1e-1
         count = 5
-        while scale * (eps_start * 1e-1 ** (count - 1)) > 7e-6:
+        # A factor outside (0, 1), rejected below, stops this by count 6.
+        while factor < 1.0 and count < 10_000 and (
+            scale * (eps_start * factor ** (count - 1)) > 7e-6
+        ):
             count += 1
-        return cls(eps_start=eps_start, factor=1e-1, count=count)
+        return cls(eps_start=eps_start, factor=factor, count=count)
 
 
 @dataclass(frozen=True)
@@ -181,7 +187,7 @@ def regularized_cross_section(
         raise SingularityError(
             "the regularizing bracket vanished; sigma(eps) is undefined here"
         )
-    return _checked_sigma(problem, 1.0, 4.0 * modulus_sq)
+    return _checked_sigma(problem.k, problem.e0, 1.0, 4.0 * modulus_sq)
 
 
 def limit_extrapolate(
@@ -225,4 +231,4 @@ def mead_godines_wrong_limit(problem: ScatteringProblem) -> float:
         raise SingularityError(
             "the truncated-log limit diverges at resonance (ln x = 0)"
         )
-    return _checked_sigma(problem, math.pi * math.pi, log_x * log_x)
+    return _checked_sigma(problem.k, problem.e0, math.pi * math.pi, log_x * log_x)

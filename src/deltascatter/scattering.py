@@ -48,14 +48,9 @@ class ScatteringProblem:
         if not (math.isfinite(self.e0) and self.e0 < 0.0):
             raise ValidationError(f"e0 must be finite and negative, got {self.e0!r}")
         mu = math.sqrt(-self.e0)
-        x = mu / self.k
-        if _NORMAL_MIN <= x < math.inf:
-            log_x = math.log(x)
-        else:
-            log_x = math.log(mu) - math.log(self.k)
         object.__setattr__(self, "_mu", mu)
-        object.__setattr__(self, "_x", x)
-        object.__setattr__(self, "_log_x", log_x)
+        object.__setattr__(self, "_x", mu / self.k)
+        object.__setattr__(self, "_log_x", _ln_x(mu, self.k))
 
     @property
     def bound_state_scale(self) -> float:
@@ -69,13 +64,16 @@ class ScatteringProblem:
 
     @property
     def log_x(self) -> float:
-        """ln(sqrt(-e0)/k), exactly zero at resonance k = sqrt(-e0).
-
-        Where the ratio itself overflows to inf or underflows below the
-        normal doubles (losing digits, or all of them at 0), the logarithm
-        is taken as the difference ln(mu) - ln(k) instead.
-        """
+        """ln(sqrt(-e0)/k), exactly zero at resonance k = sqrt(-e0)."""
         return self._log_x
+
+
+def _ln_x(mu: float, k: float) -> float:
+    """ln(mu/k); ln(mu) - ln(k) where mu/k is inf or not a normal double."""
+    x = mu / k
+    if _NORMAL_MIN <= x < math.inf:
+        return math.log(x)
+    return math.log(mu) - math.log(k)
 
 
 @dataclass(frozen=True)
@@ -92,9 +90,7 @@ class PhaseShift:
     delta0: float
 
 
-def _checked_sigma(
-    problem: ScatteringProblem, numerator: float, denominator: float
-) -> float:
+def _checked_sigma(k: float, e0: float, numerator: float, denominator: float) -> float:
     """numerator/(k*denominator) as a cross section, for all three routes.
 
     Where k*denominator overflows, k divides last instead.  For valid
@@ -103,25 +99,36 @@ def _checked_sigma(
     division overflow is the only way out of range.  It raises DomainError:
     at e0 = -1 that happens for k below about 1e-313.
     """
-    k_denominator = problem.k * denominator
+    k_denominator = k * denominator
     if k_denominator == math.inf:
-        sigma = numerator / denominator / problem.k
+        sigma = numerator / denominator / k
     else:
         sigma = numerator / k_denominator
     if sigma == math.inf:
         raise DomainError(
-            f"the cross section at k={problem.k!r}, e0={problem.e0!r} "
-            "exceeds the largest double"
+            f"the cross section at k={k!r}, e0={e0!r} exceeds the largest double"
         )
     return sigma
 
 
-def _tan_delta0(problem: ScatteringProblem) -> float:
+def _closed_sigma(k: float, e0: float, log_x: float) -> float:
+    """4 pi^2 / (k [pi^2 + 4 (ln x)^2]) from ln x; DomainError if it overflows."""
+    return _checked_sigma(k, e0, 4.0 * _PI_SQ, _PI_SQ + 4.0 * log_x * log_x)
+
+
+def _tan_delta0(log_x: float) -> float:
     """tan(delta_0) = -pi/(2 ln x); math.inf marks the resonant pi/2."""
-    log_x = problem.log_x
     if log_x == 0.0:
         return math.inf
     return -math.pi / (2.0 * log_x)
+
+
+def _delta0(log_x: float) -> float:
+    """delta_0 on the branch (0, pi) from ln x; atan(inf) is exactly pi/2."""
+    delta = math.atan(_tan_delta0(log_x))
+    if delta <= 0.0:
+        delta += math.pi
+    return delta
 
 
 def cross_section_closed(problem: ScatteringProblem) -> CrossSection:
@@ -130,9 +137,7 @@ def cross_section_closed(problem: ScatteringProblem) -> CrossSection:
     Maximal at resonance (ln x = 0), where it saturates the s-wave
     unitarity bound sigma = 4/k.
     """
-    log_x = problem.log_x
-    denominator = _PI_SQ + 4.0 * log_x * log_x
-    return CrossSection(_checked_sigma(problem, 4.0 * _PI_SQ, denominator))
+    return CrossSection(_closed_sigma(problem.k, problem.e0, problem.log_x))
 
 
 def s_wave_phase_shift(problem: ScatteringProblem) -> PhaseShift:
@@ -142,13 +147,7 @@ def s_wave_phase_shift(problem: ScatteringProblem) -> PhaseShift:
     from near 0 for x << 1, passes through exactly pi/2 at ln x = 0, and
     approaches pi for x >> 1.
     """
-    tan_d = _tan_delta0(problem)
-    if math.isinf(tan_d):
-        return PhaseShift(0.5 * math.pi)
-    delta = math.atan(tan_d)
-    if delta <= 0.0:
-        delta += math.pi
-    return PhaseShift(delta)
+    return PhaseShift(_delta0(problem.log_x))
 
 
 def sin_sq_from_tan(tan_value: float) -> float:
@@ -178,5 +177,5 @@ def cross_section_partial_wave(problem: ScatteringProblem, m_max: int = 0) -> Cr
     """
     if not isinstance(m_max, int) or m_max < 0:
         raise ValidationError(f"m_max must be a non-negative integer, got {m_max!r}")
-    sin_sq = sin_sq_from_tan(_tan_delta0(problem))
-    return CrossSection(_checked_sigma(problem, 4.0 * sin_sq, 1.0))
+    sin_sq = sin_sq_from_tan(_tan_delta0(problem.log_x))
+    return CrossSection(_checked_sigma(problem.k, problem.e0, 4.0 * sin_sq, 1.0))

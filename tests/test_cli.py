@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import hashlib
 import io
@@ -7,7 +8,7 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from deltascatter.cli import (
@@ -16,14 +17,22 @@ from deltascatter.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_VALIDATION,
+    _geometric_grid,
     main,
 )
+from deltascatter.errors import DomainError
 from deltascatter.regularization import (
     EpsilonSchedule,
     RegularizationMode,
     limit_extrapolate,
 )
-from deltascatter.scattering import ScatteringProblem
+from deltascatter.scattering import (
+    CrossSection,
+    PhaseShift,
+    ScatteringProblem,
+    cross_section_closed,
+    s_wave_phase_shift,
+)
 
 E0_LOG_X_ONE = -math.e**2  # ln x = 1 at k = 1
 
@@ -314,6 +323,25 @@ class TestLimitStudy:
         )
         assert len(out.splitlines()) == 5 + 2
 
+    @pytest.mark.parametrize("mode", ["full", "asymptotic"])
+    @pytest.mark.parametrize("factor", ["0.5", "0.3"])
+    @pytest.mark.parametrize("k, e0", [(1.0, -1.0), (1.0, -2.5), (300.0, -1.0)])
+    def test_default_count_follows_the_factor(self, capsys, k, e0, factor, mode):
+        # Counted at factor 0.1, a factor of 0.5 stopped at eps 6.25e-4 at
+        # k=1, e0=-1, short of the default depth, and exited 3.
+        problem = ScatteringProblem(k=k, e0=e0)
+        schedule = EpsilonSchedule.default_for(problem, float(factor))
+        argv = ["limit-study", "--k", repr(k), f"--e0={e0!r}", "--eps-factor", factor]
+        code, out, err = run_cli(capsys, argv + ["--mode", mode])
+        assert (code, err) == (EXIT_OK, "")
+        lines = out.splitlines()
+        assert len(lines) == schedule.count + 2
+        last_eps = list(schedule.epsilons())[-1]
+        assert lines[-2].split(",")[0] == format(last_eps, "#.15g")
+        assert max(k, problem.bound_state_scale) * last_eps <= 7e-6
+        sigma_closed = cross_section_closed(problem).sigma
+        assert float(lines[-1].split(",")[1]) == pytest.approx(sigma_closed, rel=3e-11)
+
     @pytest.mark.parametrize(
         "flag, value",
         [
@@ -529,6 +557,79 @@ class TestStreamedSweep:
 
 def log_uniform(low, high):
     return st.floats(math.log(low), math.log(high)).map(math.exp)
+
+
+def sweep_by_object_api(e0, k_min, k_max, points):
+    """(exit code, stdout, stderr) of sweep, built from the object API."""
+    out = "k,ln_x,delta0,sigma,sigma_times_k\n"
+    for k in _geometric_grid(k_min, k_max, points):
+        problem = ScatteringProblem(k=k, e0=e0)
+        try:
+            sigma = cross_section_closed(problem).sigma
+        except DomainError as exc:
+            return EXIT_DOMAIN, out, f"error: {exc}\n"
+        delta0 = s_wave_phase_shift(problem).delta0
+        out += _SWEEP_ROW % (k, problem.log_x, delta0, sigma, sigma * k)
+    return EXIT_OK, out, ""
+
+
+class TestSweepKernels:
+    """sweep builds its rows from the kernels behind the object API."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        minus_e0=log_uniform(1e-300, 1e300),
+        ends=st.tuples(log_uniform(1e-300, 1e300), log_uniform(1e-300, 1e300)),
+        points=st.integers(2, 60),
+    )
+    @example(minus_e0=1.0, ends=(1e-320, 1.0), points=5)
+    @example(minus_e0=1e-300, ends=(1e-320, 1e-310), points=7)
+    @example(minus_e0=1e300, ends=(1e-300, 1e300), points=41)
+    @example(minus_e0=1e-300, ends=(1e-10, 1e300), points=31)
+    def test_rows_equal_the_object_api_bit_for_bit(self, minus_e0, ends, points):
+        k_min, k_max = sorted(ends)
+        assume(k_min < k_max)
+        argv = [
+            "sweep", f"--e0={-minus_e0!r}", "--k-min", repr(k_min),
+            "--k-max", repr(k_max), "--points", str(points),
+        ]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        expected = sweep_by_object_api(-minus_e0, k_min, k_max, points)
+        assert (code, out.getvalue(), err.getvalue()) == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        ends=st.tuples(
+            st.floats(5e-324, sys.float_info.max), st.floats(5e-324, sys.float_info.max)
+        ),
+        points=st.integers(2, 3000),
+    )
+    @example(ends=(5e-324, sys.float_info.max), points=3000)
+    @example(ends=(5e-324, 1e-323), points=3000)
+    def test_every_grid_momentum_is_positive_and_finite(self, ends, points):
+        # Why a row need not check its k again: exp(log(5e-324)) is 5e-324.
+        k_min, k_max = sorted(ends)
+        assume(k_min < k_max)
+        assert all(0.0 < k < math.inf for k in _geometric_grid(k_min, k_max, points))
+
+    def test_rows_build_no_objects(self, monkeypatch, tmp_path):
+        built = collections.Counter()
+        for cls in (ScatteringProblem, CrossSection, PhaseShift):
+
+            def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        argv = [
+            "sweep", "--e0=-1", "--k-min", "0.01", "--k-max", "100",
+            "--points", "10000", "--output", str(tmp_path / "table.csv"),
+        ]
+        assert main(argv) == EXIT_OK
+        assert built["ScatteringProblem"] <= 1
+        assert built["CrossSection"] == built["PhaseShift"] == 0
 
 
 @st.composite

@@ -97,10 +97,21 @@ class TestEpsilonSchedule:
         with pytest.raises(ValidationError):
             EpsilonSchedule(eps_start=eps_start, factor=0.1, count=3)
 
-    @pytest.mark.parametrize("factor", [0.0, 1.0, 1.5, -0.1, math.nan])
+    @pytest.mark.parametrize("factor", [0.0, 1.0, 1.5, 1.1, -0.1, -2.0, math.nan])
     def test_bad_factor(self, factor):
         with pytest.raises(ValidationError):
             EpsilonSchedule(eps_start=1e-2, factor=factor, count=3)
+        with pytest.raises(ValidationError):
+            EpsilonSchedule.default_for(problem_at(1.0, 0.0), factor)
+
+    @pytest.mark.parametrize(
+        "factor, count", [(0.5, 12), (0.3, 8), (0.9, 70), (1.0 - 1e-6, 10_000)]
+    )
+    def test_default_count_follows_the_factor(self, factor, count):
+        # Enough cutoffs to take max(k, mu)*eps from 1e-2 to 7e-6, and at most
+        # 10 000 however close the factor is to 1.
+        schedule = EpsilonSchedule.default_for(problem_at(1.0, 0.0), factor)
+        assert schedule == EpsilonSchedule(eps_start=1e-2, factor=factor, count=count)
 
     @pytest.mark.parametrize("count", [0, 1, -3])
     def test_bad_count(self, count):
