@@ -38,10 +38,11 @@ from .scattering import ScatteringProblem, _checked_sigma
 from .special_functions import (
     SERIES_Z_MAX,
     TWO_OVER_PI,
-    bessel_k0,
-    hankel1_0,
-    hankel1_0_small_z,
-    k0_small_z,
+    _j0_sum,
+    _k0_log,
+    _k0_sum,
+    _y0_given_j0,
+    _y0_log,
 )
 
 # 1/(2 pi) built from the shared 2/pi constant: the power-of-two scaling
@@ -58,6 +59,9 @@ class RegularizationMode(enum.Enum):
     FULL = "full"
     ASYMPTOTIC = "asymptotic"
     TRUNCATED_LOG = "truncated-log"
+
+
+_FULL, _ASYMPTOTIC, _TRUNCATED_LOG = RegularizationMode  # in definition order
 
 
 @dataclass(frozen=True)
@@ -143,11 +147,12 @@ def regularized_cross_section(
     outside TRUNCATED_LOG, in the series domain, or where sigma(eps)
     overflows.  The message says which eps, if any, would do.
     """
-    z_mu = problem.bound_state_scale * eps
-    z_k = problem.k * eps
-    z_max = _FLOAT_MAX if mode is RegularizationMode.TRUNCATED_LOG else SERIES_Z_MAX
+    # The one domain check on this route; the kernels below check nothing.
+    k, mu = problem.k, problem.bound_state_scale
+    z_mu, z_k = mu * eps, k * eps
+    z_max = _FLOAT_MAX if mode is _TRUNCATED_LOG else SERIES_Z_MAX
     if not (0.0 < z_mu <= z_max and 0.0 < z_k <= z_max):
-        low, high = sorted((problem.k, problem.bound_state_scale))
+        low, high = sorted((k, mu))
         if low * (z_max / high) == 0.0:
             hint = "no eps keeps both there for this k and e0"
         elif max(z_mu, z_k) > z_max:
@@ -159,27 +164,27 @@ def regularized_cross_section(
         else:
             bound = "positive and finite"
         raise DomainError(
-            f"at k={problem.k!r}, e0={problem.e0!r}, eps={eps!r} the cutoff "
+            f"at k={k!r}, e0={problem.e0!r}, eps={eps!r} the cutoff "
             f"arguments mu*eps = {z_mu!r} and k*eps = {z_k!r} are not both "
             f"{bound}; {hint}"
         )
-    if mode is RegularizationMode.FULL:
-        k0_value, h0 = bessel_k0(z_mu), hankel1_0(z_k)
-    elif mode is RegularizationMode.ASYMPTOTIC:
-        k0_value, h0 = k0_small_z(z_mu), hankel1_0_small_z(z_k)
-    elif mode is RegularizationMode.TRUNCATED_LOG:
+    if mode is _FULL:
+        k0_value, h0_real = _k0_sum(z_mu), _j0_sum(z_k)
+        h0_imag = _y0_given_j0(z_k, h0_real)
+    elif mode is _ASYMPTOTIC:
+        k0_value, h0_real, h0_imag = _k0_log(z_mu), 1.0, _y0_log(z_k)
+    elif mode is _TRUNCATED_LOG:
         # Bare logarithms only; no ln 2, no gamma, no real part of H0.
-        k0_value = -math.log(z_mu)
-        h0 = complex(0.0, TWO_OVER_PI * math.log(z_k))
+        k0_value, h0_real, h0_imag = -math.log(z_mu), 0.0, TWO_OVER_PI * math.log(z_k)
     else:
         raise ValidationError(f"unknown regularization mode: {mode!r}")
-    # bracket = K0/(2 pi) - (i/4) H0 = K0/(2 pi) + H0.imag/4 - i H0.real/4,
-    # on plain floats; sign flips and adding 0.0 are exact, so a resonant
-    # bracket still cancels to exactly zero.
-    bracket_re = _INV_TWO_PI * k0_value + 0.25 * h0.imag
-    bracket_im = -0.25 * h0.real
+    # bracket = K0/(2 pi) - (i/4) H0 = K0/(2 pi) + H0.imag/4 - i H0.real/4;
+    # sign flips and adding 0.0 are exact, so a resonant bracket still
+    # cancels to exactly zero.
+    bracket_re = _INV_TWO_PI * k0_value + 0.25 * h0_imag
+    bracket_im = -0.25 * h0_real
     modulus_sq = bracket_re * bracket_re + bracket_im * bracket_im
-    if modulus_sq == 0.0 and mode is RegularizationMode.TRUNCATED_LOG:
+    if modulus_sq == 0.0 and mode is _TRUNCATED_LOG:
         # The two bare logs can round equal off resonance (|ln x| up to
         # about 4e-15); their exact difference -ln x vanishes only at it.
         modulus_sq = (_INV_TWO_PI * problem.log_x) ** 2
@@ -187,7 +192,7 @@ def regularized_cross_section(
         raise SingularityError(
             "the regularizing bracket vanished; sigma(eps) is undefined here"
         )
-    return _checked_sigma(problem.k, problem.e0, 1.0, 4.0 * modulus_sq)
+    return _checked_sigma(k, problem.e0, 1.0, 4.0 * modulus_sq)
 
 
 def limit_extrapolate(
@@ -197,7 +202,8 @@ def limit_extrapolate(
 
     No extrapolation beyond the samples is attempted: the estimate is the
     smallest-cutoff value, and convergence means the last two samples
-    agree to a relative 1e-8.
+    agree to a relative 1e-8 * min(1, 2 (1 - factor)): samples falling as
+    eps^2 leave the last about gap/(1 - factor^2) from the limit.
     """
     samples = tuple(
         (eps, regularized_cross_section(problem, eps, mode))
@@ -206,7 +212,8 @@ def limit_extrapolate(
     sigma_last = samples[-1][1]
     sigma_prev = samples[-2][1]
     error = abs(sigma_last - sigma_prev)
-    converged = error <= _CONVERGENCE_RTOL * abs(sigma_last)
+    rtol = _CONVERGENCE_RTOL * min(1.0, 2.0 * (1.0 - schedule.factor))
+    converged = error <= rtol * abs(sigma_last)
     return LimitEstimate(
         sigma_limit=sigma_last,
         error_estimate=error,

@@ -6,10 +6,15 @@ two-term logarithmic forms that K0 and H0 collapse to as z -> 0.  The
 series are kept to arguments 0 < z <= 2, where a handful of terms gives
 full double accuracy; larger arguments raise DomainError rather than
 silently losing precision.  Stdlib only.
+
+Each public function checks z, then calls a private kernel that checks
+nothing: _j0_sum, _y0_given_j0 and _k0_sum need 0 < z <= SERIES_Z_MAX,
+_k0_log and _y0_log a finite z > 0; their caller owns that precondition.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 
@@ -30,6 +35,12 @@ _NORMAL_MIN = sys.float_info.min
 # of the running sum, or after _MAX_TERMS terms (never reached for z <= 2).
 _REL_FLOOR = 1e-16
 _MAX_TERMS = 60
+
+# m*m and the harmonic number h_m for m = 1 .. _MAX_TERMS - 1, built once:
+# m*m is exact as a double, and h_m is summed in increasing m as a
+# term-by-term loop would sum it.
+_M_SQ = tuple(float(m * m) for m in range(1, _MAX_TERMS))
+_HARMONIC = tuple(itertools.accumulate(1.0 / m for m in range(1, _MAX_TERMS)))
 
 
 def _require_series_domain(z: float, name: str) -> None:
@@ -53,11 +64,14 @@ def _log_half(z: float) -> float:
 def bessel_j0(z: float) -> float:
     """J0 by its ascending series sum_m (-1)^m (z^2/4)^m / (m!)^2."""
     _require_series_domain(z, "bessel_j0")
+    return _j0_sum(z)
+
+
+def _j0_sum(z: float) -> float:
     q = 0.25 * z * z
-    term = 1.0
-    total = 1.0
-    for m in range(1, _MAX_TERMS):
-        term *= -q / (m * m)
+    term = total = 1.0
+    for m_sq in _M_SQ:
+        term *= -q / m_sq
         total += term
         if abs(term) < _REL_FLOOR * abs(total):
             break
@@ -73,27 +87,27 @@ def bessel_y0(z: float) -> float:
     with h_m the m-th harmonic number.
     """
     _require_series_domain(z, "bessel_y0")
-    return _y0_given_j0(z, bessel_j0(z))
+    return _y0_given_j0(z, _j0_sum(z))
 
 
 def _y0_given_j0(z: float, j0: float) -> float:
-    """Y0(z) from an already summed J0(z); z must be in the series domain."""
+    """Y0(z) from an already summed J0(z)."""
     q = 0.25 * z * z
-    term = 1.0
-    harmonic = 0.0
+    term = sign = 1.0
     correction = 0.0
-    for m in range(1, _MAX_TERMS):
-        term *= q / (m * m)
-        harmonic += 1.0 / m
-        if m % 2:
-            correction += harmonic * term
-        else:
-            correction -= harmonic * term
+    for m_sq, harmonic in zip(_M_SQ, _HARMONIC):
+        term *= q / m_sq
+        # Adding -(h_m term) is subtracting it, bit for bit.
+        correction += sign * (harmonic * term)
+        sign = -sign
         # Once term underflows to 0.0, every later term adds 0.0.
         if harmonic * term < _REL_FLOOR * abs(correction) or term == 0.0:
             break
-    log_part = (_log_half(z) + EULER_GAMMA) * j0
-    return TWO_OVER_PI * (log_part + correction)
+    return TWO_OVER_PI * ((_log_half(z) + EULER_GAMMA) * j0 + correction)
+
+
+def _y0_log(z: float) -> float:
+    return TWO_OVER_PI * (_log_half(z) + EULER_GAMMA)
 
 
 def bessel_k0(z: float) -> float:
@@ -102,16 +116,16 @@ def bessel_k0(z: float) -> float:
     K0(z) = -(ln(z/2) + gamma) I0(z) + sum_{m>=1} h_m (z^2/4)^m / (m!)^2
     """
     _require_series_domain(z, "bessel_k0")
+    return _k0_sum(z)
+
+
+def _k0_sum(z: float) -> float:
     q = 0.25 * z * z
-    # One term ladder serves both sums; i0 >= 1 dominates, so its
-    # truncation criterion stops the loop.
-    term = 1.0
-    i0 = 1.0
-    harmonic = 0.0
+    # One term ladder serves both sums; i0 >= 1 dominates and stops it.
+    term = i0 = 1.0
     correction = 0.0
-    for m in range(1, _MAX_TERMS):
-        term *= q / (m * m)
-        harmonic += 1.0 / m
+    for m_sq, harmonic in zip(_M_SQ, _HARMONIC):
+        term *= q / m_sq
         i0 += term
         correction += harmonic * term
         if term < _REL_FLOOR * i0:
@@ -119,20 +133,24 @@ def bessel_k0(z: float) -> float:
     return -(_log_half(z) + EULER_GAMMA) * i0 + correction
 
 
+def _k0_log(z: float) -> float:
+    return -_log_half(z) - EULER_GAMMA
+
+
 def hankel1_0(z: float) -> complex:
     """H0(z) = J0(z) + i Y0(z), with one J0 sum serving both components."""
     _require_series_domain(z, "hankel1_0")
-    j0 = bessel_j0(z)
+    j0 = _j0_sum(z)
     return complex(j0, _y0_given_j0(z, j0))
 
 
 def k0_small_z(z: float) -> float:
     """Two-term z -> 0 form of K0: -ln(z/2) - gamma."""
     _require_positive(z, "k0_small_z")
-    return -_log_half(z) - EULER_GAMMA
+    return _k0_log(z)
 
 
 def hankel1_0_small_z(z: float) -> complex:
     """Two-term z -> 0 form of H0: 1 + (2i/pi)(ln(z/2) + gamma)."""
     _require_positive(z, "hankel1_0_small_z")
-    return complex(1.0, TWO_OVER_PI * (_log_half(z) + EULER_GAMMA))
+    return complex(1.0, _y0_log(z))

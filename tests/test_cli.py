@@ -163,6 +163,18 @@ class TestCrossSection:
         assert out.startswith("k,e0,x,ln_x,method,sigma\n")
         assert "converge" in err
 
+    def test_near_unit_factor_does_not_pass_a_shallow_limit(self, capsys):
+        # Adjacent samples agree to 1e-8 although the last is 4.9e-5 off 4.
+        argv = ["cross-section", "--k", "1", "--e0=-1", "--method", "limit"]
+        code, out, err = run_cli(capsys, argv + ["--eps-factor", "0.999999"])
+        assert code == EXIT_NO_CONVERGENCE
+        assert out.splitlines()[-1].endswith(",limit,4.00019591821861")
+        assert "converge" in err
+        for factor in ("0.5", "0.9", "0.99"):
+            code, out, err = run_cli(capsys, argv + ["--eps-factor", factor])
+            assert (code, err) == (EXIT_OK, "")
+            assert float(out.splitlines()[-1].split(",")[-1]) == pytest.approx(4.0, rel=1e-10)
+
     @pytest.mark.parametrize(
         "k, e0, method, sigma",
         [

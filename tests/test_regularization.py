@@ -12,6 +12,7 @@ from deltascatter.regularization import (
     mead_godines_wrong_limit,
     regularized_cross_section,
 )
+from deltascatter import special_functions
 from deltascatter.scattering import ScatteringProblem, cross_section_closed
 from deltascatter.special_functions import (
     TWO_OVER_PI,
@@ -292,6 +293,31 @@ class TestRegularizedCrossSection:
 
 
 class TestLimitExtrapolate:
+    @pytest.mark.parametrize("mode", [RegularizationMode.FULL, RegularizationMode.ASYMPTOTIC])
+    @pytest.mark.parametrize("k, e0", [(1.0, -1.0), (3.0, -0.02), (1e-5, -1e4)])
+    def test_cutoff_guard_is_the_only_domain_check(self, monkeypatch, mode, k, e0):
+        calls = []
+
+        def counting(check):
+            def counted(z, name):
+                calls.append(name)
+                check(z, name)
+            return counted
+
+        for check in ("_require_series_domain", "_require_positive"):
+            monkeypatch.setattr(
+                f"deltascatter.special_functions.{check}",
+                counting(getattr(special_functions, check)),
+            )
+        problem = ScatteringProblem(k=k, e0=e0)
+        estimate = limit_extrapolate(problem, EpsilonSchedule.default_for(problem), mode)
+        assert estimate.converged
+        assert calls == []
+        # The public kernels still check their own argument.
+        for kernel in (bessel_k0, hankel1_0, k0_small_z, hankel1_0_small_z):
+            kernel(0.5)
+        assert calls == ["bessel_k0", "hankel1_0", "k0_small_z", "hankel1_0_small_z"]
+
     def test_full_mode_reference_case(self):
         estimate = limit_extrapolate(
             problem_at(1.0, 0.0),

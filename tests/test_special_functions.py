@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltascatter.errors import DomainError
+from deltascatter import special_functions
 from deltascatter.special_functions import (
     EULER_GAMMA,
     TWO_OVER_PI,
@@ -242,3 +243,77 @@ def test_asymptotic_consistency_order():
             assert diff_re < previous[1]
             assert diff_im < previous[2]
         previous = (diff_k0, diff_re, diff_im)
+
+
+# (z, then .hex() of J0, Y0, K0, the two-term K0 and the two-term Y0 at z),
+# frozen from the term-by-term series loops: subnormal z, z where z*z/4
+# underflows (1e-200), and the domain up to 2.
+KERNEL_PINS = [
+    ("5e-324", "0x1.0000000000000p+0", "-0x1.d9ffc3469e1b2p+8", "0x1.74472b1ee1463p+9", "0x1.74472b1ee1463p+9", "-0x1.d9ffc3469e1b2p+8"),
+    ("1e-323", "0x1.0000000000000p+0", "-0x1.d98ecc206020dp+8", "0x1.73ee7212e55d5p+9", "0x1.73ee7212e55d5p+9", "-0x1.d98ecc206020dp+8"),
+    ("2.5e-322", "0x1.0000000000000p+0", "-0x1.d77ef98f5d7fdp+8", "0x1.724fe50eec362p+9", "0x1.724fe50eec362p+9", "-0x1.d77ef98f5d7fdp+8"),
+    ("1e-310", "0x1.0000000000000p+0", "-0x1.c67e6ea19fcfep+8", "0x1.64f56a6ce37a8p+9", "0x1.64f56a6ce37a8p+9", "-0x1.c67e6ea19fcfep+8"),
+    ("2.225073858507201e-308", "0x1.0000000000000p+0", "-0x1.c30d8f820740cp+8", "0x1.624194afb5f72p+9", "0x1.624194afb5f72p+9", "-0x1.c30d8f820740cp+8"),
+    ("2.2250738585072014e-308", "0x1.0000000000000p+0", "-0x1.c30d8f820740ep+8", "0x1.624194afb5f73p+9", "0x1.624194afb5f73p+9", "-0x1.c30d8f820740ep+8"),
+    ("4.450147717014403e-308", "0x1.0000000000000p+0", "-0x1.c29c985bc9467p+8", "0x1.61e8dba3ba0e4p+9", "0x1.61e8dba3ba0e4p+9", "-0x1.c29c985bc9467p+8"),
+    ("1e-300", "0x1.0000000000000p+0", "-0x1.b7d5cd487e960p+8", "0x1.59721b5792256p+9", "0x1.59721b5792256p+9", "-0x1.b7d5cd487e960p+8"),
+    ("1e-250", "0x1.0000000000000p+0", "-0x1.6e8aa68ad8744p+8", "0x1.1fe18fecfb7b7p+9", "0x1.1fe18fecfb7b7p+9", "-0x1.6e8aa68ad8744p+8"),
+    ("1e-200", "0x1.0000000000000p+0", "-0x1.253f7fcd3252ap+8", "0x1.cca20904c9a34p+8", "0x1.cca20904c9a34p+8", "-0x1.253f7fcd3252ap+8"),
+    ("1.5e-162", "0x1.0000000000000p+0", "-0x1.da92d8ebd20a7p+7", "0x1.74bab0397950bp+8", "0x1.74bab0397950bp+8", "-0x1.da92d8ebd20a7p+7"),
+    ("1e-160", "0x1.0000000000000p+0", "-0x1.d539f4d15ad5cp+7", "0x1.7087905a3ef9dp+8", "0x1.7087905a3ef9dp+8", "-0x1.d539f4d15ad5cp+7"),
+    ("1e-155", "0x1.0000000000000p+0", "-0x1.c6915378399bdp+7", "0x1.65044144eda4ap+8", "0x1.65044144eda4ap+8", "-0x1.c6915378399bdp+7"),
+    ("1e-100", "0x1.0000000000000p+0", "-0x1.255264a3cc1e7p+7", "0x1.ccbfb6b4ddf76p+7", "0x1.ccbfb6b4ddf76p+7", "-0x1.255264a3cc1e7p+7"),
+    ("1e-50", "0x1.0000000000000p+0", "-0x1.25782e50ffb61p+6", "0x1.ccfb1215069f9p+6", "0x1.ccfb1215069f9p+6", "-0x1.25782e50ffb61p+6"),
+    ("1e-20", "0x1.0000000000000p+0", "-0x1.d642788dc3fb3p+4", "0x1.7157502acd46bp+5", "0x1.7157502acd46bp+5", "-0x1.d642788dc3fb3p+4"),
+    ("1e-10", "0x1.0000000000000p+0", "-0x1.d770c5f760b81p+3", "0x1.7244bdab6fe79p+4", "0x1.7244bdab6fe79p+4", "-0x1.d770c5f760b81p+3"),
+    ("1e-8", "0x1.0000000000000p+0", "-0x1.799ff089bf455p+3", "0x1.2895f6bc9a934p+4", "0x1.2895f6bc9a934p+4", "-0x1.799ff089bf455p+3"),
+    ("1e-6", "0x1.ffffffffff734p-1", "-0x1.1bcf1b1c1d7edp+3", "0x1.bdce5f9b8b013p+3", "0x1.bdce5f9b8a7ddp+3", "-0x1.1bcf1b1c1dd27p+3"),
+    ("1e-4", "0x1.ffffffea86712p-1", "-0x1.7bfc8b4b5330fp+2", "0x1.2a70d1cbbbe9ap+3", "0x1.2a70d1bddfd52p+3", "-0x1.7bfc8b5cf8bf4p+2"),
+    ("1e-3", "0x1.fffff79c84387p-1", "-0x1.1e2bb09429a5ap+2", "0x1.c1841e07ec99ep+2", "0x1.c184159e1501bp+2", "-0x1.1e2bb5ef574c8p+2"),
+    ("0.01", "0x1.fffcb924fa352p-1", "-0x1.80b2c5336d328p+1", "0x1.2e28dfa81d125p+2", "0x1.2e2687c06a590p+2", "-0x1.80b5c1036bb35p+1"),
+    ("0.05", "0x1.ffae17c1aebb7p-1", "-0x1.fab420311f794p+0", "0x1.8e9f387e56147p+1", "0x1.8e4affc168487p+1", "-0x1.fb1f528e4bf5ep+0"),
+    ("0.1", "0x1.feb8865590ab4p-1", "-0x1.88c3dd3fcf18dp+0", "0x1.36aa32a31d694p+1", "0x1.3591f3c57f60bp+1", "-0x1.8a282c50519b6p+0"),
+    ("0.2", "0x1.fae48d9bfc0d4p-1", "-0x1.14c351831ea96p+0", "0x1.c0b1332b1105bp+0", "0x1.b9b1cf932cf1ep+0", "-0x1.193106125740fp+0"),
+    ("0.25", "0x1.f807fc72aa864p-1", "-0x1.dcf723b7d21f3p-1", "0x1.8aa02fbb2cb70p+0", "0x1.8091e003f7bdap+0", "-0x1.e9a6462b810a0p-1"),
+    ("0.3", "0x1.f48b6d692fb9ep-1", "-0x1.9d52f65f30ce4p-1", "0x1.5f598ae31a9bap+0", "0x1.51e53fe02e90cp+0", "-0x1.ae38cfc1cc079p-1"),
+    ("0.5", "0x1.e07f1d54c3f35p-1", "-0x1.c72feb3b7b8a2p-2", "0x1.d94d74dd716b0p-1", "0x1.9e3f90184bdc5p-1", "-0x1.07b7f9af8c552p-1"),
+    ("0.7071067811865476", "0x1.c1f8f1b4f83f4p-1", "-0x1.767edeeb83047p-3", "0x1.4e646c7635ce6p-1", "0x1.d99af040f419ap-2", "-0x1.2d81a6e323f55p-2"),
+    ("0.75", "0x1.ba7df6a752a18p-1", "-0x1.18ee09734f23bp-3", "0x1.389e425d015f5p-1", "0x1.9d4ce1649e33ep-2", "-0x1.071d7a9953b56p-2"),
+    ("0.9", "0x1.9d73c25f5b27ap-1", "0x1.70db50ee18e85p-8", "0x1.f2696e0e206b6p-2", "0x1.c534c1aaf3008p-3", "-0x1.20851b8bd3610p-3"),
+    ("1.0", "0x1.87c7fdbd7b8f0p-1", "0x1.6980226f358e2p-4", "0x1.af2107c43e11ap-2", "0x1.dadb014541eb0p-4", "-0x1.2e4d699cbd01ep-4"),
+    ("1.1229189671337703", "0x1.6ae1bee6963cap-1", "0x1.6c73d31a1a651p-3", "0x1.6aa2011a0e9a2p-2", "0x1.0000000000000p-53", "-0x1.45f306dc9c883p-54"),
+    ("1.25", "0x1.4ab433d10e1c1p-1", "0x1.0869ff937fa13p-2", "0x1.30bedd3b38200p-2", "-0x1.b723f7ae11590p-4", "0x1.1790c62caebd7p-4"),
+    ("1.4142135623730951", "0x1.1e46d4a0b681ep-1", "0x1.60e880f3b44a8p-2", "0x1.e9c364314b140p-3", "-0x1.d85adf3ca6488p-3", "0x1.2cb5e4298ae8ep-3"),
+    ("1.5", "0x1.060e46ce9651bp-1", "0x1.87a0b0d068369p-2", "0x1.b5dfb0da31282p-3", "-0x1.287b7e7aa90a0p-2", "0x1.797e3cbd2b68bp-3"),
+    ("1.75", "0x1.79e3a9e138af1p-2", "0x1.dcaa19824527bp-2", "0x1.3e37c56545ca4p-3", "-0x1.c6552b7cb79f4p-2", "0x1.213cb79d9141bp-2"),
+    ("1.9", "0x1.20950b5facdf1p-2", "0x1.fcbe5fe2a7987p-2", "0x1.07e06699b1998p-3", "-0x1.0d45b26b2f485p-1", "0x1.56d91be21d7e4p-2"),
+    ("1.9999999999999998", "0x1.ca873fb24cefbp-3", "0x1.054ff5cd68c8ep-1", "0x1.d28261aac8d70p-4", "-0x1.2788cfc6fb618p-1", "0x1.78493e90ba293p-2"),
+    ("2.0", "0x1.ca873fb24cef6p-3", "0x1.054ff5cd68c8ep-1", "0x1.d28261aac8d60p-4", "-0x1.2788cfc6fb619p-1", "0x1.78493e90ba295p-2"),
+]
+
+
+@pytest.mark.parametrize("z, j0, y0, k0, k0_log, y0_log", KERNEL_PINS)
+def test_kernels_bit_pinned(z, j0, y0, k0, k0_log, y0_log):
+    z = float(z)
+    assert bessel_j0(z).hex() == j0
+    assert bessel_y0(z).hex() == y0
+    assert bessel_k0(z).hex() == k0
+    h = hankel1_0(z)
+    assert (h.real.hex(), h.imag.hex()) == (j0, y0)
+    assert k0_small_z(z).hex() == k0_log
+    h_small = hankel1_0_small_z(z)
+    assert (h_small.real, h_small.imag.hex()) == (1.0, y0_log)
+
+
+def test_series_tables_are_the_loop_values():
+    harmonic = 0.0
+    m_sq, h = [], []
+    for m in range(1, special_functions._MAX_TERMS):
+        m_sq.append(m * m)
+        harmonic += 1.0 / m
+        h.append(harmonic)
+    assert [v.hex() for v in special_functions._M_SQ] == [float(v).hex() for v in m_sq]
+    assert [v.hex() for v in special_functions._HARMONIC] == [v.hex() for v in h]
+    # Dividing by the table's double is dividing by the int m*m.
+    for q in (0.25, 1.0 / 3.0, 1e-300):
+        assert [q / v for v in special_functions._M_SQ] == [q / v for v in m_sq]
