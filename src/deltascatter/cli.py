@@ -24,7 +24,9 @@ import sys
 from collections.abc import Iterable, Iterator
 
 from .errors import DomainError, SingularityError, ValidationError
-from .regularization import EpsilonSchedule, RegularizationMode, limit_extrapolate
+from .regularization import (
+    EpsilonSchedule, LimitEstimate, RegularizationMode, limit_extrapolate
+)
 from .scattering import (
     ScatteringProblem,
     _closed_sigma,
@@ -74,9 +76,11 @@ def _schedule(args: argparse.Namespace, problem: ScatteringProblem) -> EpsilonSc
     return EpsilonSchedule(eps_start=eps_start, factor=args.eps_factor, count=count)
 
 
-def run_cross_section(args: argparse.Namespace) -> tuple[list[str], int]:
+def run_cross_section(
+    args: argparse.Namespace,
+) -> tuple[list[str], LimitEstimate | None]:
     problem = ScatteringProblem(k=args.k, e0=args.e0)
-    status = EXIT_OK
+    estimate = None
     if args.method == "closed":
         sigma = cross_section_closed(problem).sigma
     elif args.method == "partial-wave":
@@ -85,15 +89,13 @@ def run_cross_section(args: argparse.Namespace) -> tuple[list[str], int]:
         schedule = _schedule(args, problem)
         estimate = limit_extrapolate(problem, schedule, RegularizationMode(args.mode))
         sigma = estimate.sigma_limit
-        if not estimate.converged:
-            status = EXIT_NO_CONVERGENCE
     record = "%#.15g,%#.15g,%#.15g,%#.15g,%s,%#.15g\n" % (
         problem.k, problem.e0, problem.x, problem.log_x, args.method, sigma
     )
-    return ["k,e0,x,ln_x,method,sigma\n", record], status
+    return ["k,e0,x,ln_x,method,sigma\n", record], estimate
 
 
-def run_limit_study(args: argparse.Namespace) -> tuple[list[str], int]:
+def run_limit_study(args: argparse.Namespace) -> tuple[list[str], LimitEstimate]:
     problem = ScatteringProblem(k=args.k, e0=args.e0)
     schedule = _schedule(args, problem)
     estimate = limit_extrapolate(problem, schedule, RegularizationMode(args.mode))
@@ -106,7 +108,7 @@ def run_limit_study(args: argparse.Namespace) -> tuple[list[str], int]:
     lines.append(
         "limit,%#.15g,%#.15g\n" % (estimate.sigma_limit, estimate.error_estimate)
     )
-    return lines, EXIT_OK if estimate.converged else EXIT_NO_CONVERGENCE
+    return lines, estimate
 
 
 def _geometric_grid(k_min: float, k_max: float, points: int) -> Iterator[float]:
@@ -130,7 +132,7 @@ def _sweep_rows(e0: float, grid: Iterable[float]) -> Iterator[str]:
         yield _SWEEP_ROW % (k, log_x, _delta0(log_x), sigma, sigma * k)
 
 
-def run_sweep(args: argparse.Namespace) -> tuple[Iterator[str], int]:
+def run_sweep(args: argparse.Namespace) -> tuple[Iterator[str], None]:
     """The sweep table as lazily computed lines, after checking every flag.
 
     Every flag is checked before the first line, --e0 by building the first
@@ -151,7 +153,7 @@ def run_sweep(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     _require(args.points >= 2, f"--points must be >= 2, got {args.points!r}")
     ScatteringProblem(k=args.k_min, e0=args.e0)
     grid = _geometric_grid(args.k_min, args.k_max, args.points)
-    return _sweep_rows(args.e0, grid), EXIT_OK
+    return _sweep_rows(args.e0, grid), None
 
 
 def _add_problem_flags(sub: argparse.ArgumentParser) -> None:
@@ -264,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
         # as a return value so callers always get an int.
         return int(exc.code or 0)
     try:
-        lines, status = args.run(args)
+        lines, estimate = args.run(args)
         if args.output is None:
             sys.stdout.writelines(lines)
             sys.stdout.flush()
@@ -287,9 +289,10 @@ def main(argv: list[str] | None = None) -> int:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         return EXIT_OK
-    if status == EXIT_NO_CONVERGENCE:
-        print("warning: limit did not converge to relative 1e-08", file=sys.stderr)
-    return status
+    if estimate is None or estimate.converged:
+        return EXIT_OK
+    sys.stderr.write("warning: limit did not converge to relative %g\n" % estimate.rtol)
+    return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

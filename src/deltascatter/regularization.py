@@ -41,6 +41,7 @@ from .special_functions import (
     _j0_sum,
     _k0_log,
     _k0_sum,
+    _log_product,
     _y0_given_j0,
     _y0_log,
 )
@@ -128,14 +129,16 @@ class LimitEstimate:
     """Outcome of chasing sigma(eps) down a cutoff schedule.
 
     sigma_limit is the smallest-cutoff sample, error_estimate the gap
-    between the last two samples, and samples the full (eps, sigma(eps))
-    trace in schedule order.
+    between the last two samples, samples the full (eps, sigma(eps))
+    trace in schedule order, and rtol the relative gap that converged
+    was tested against.
     """
 
     sigma_limit: float
     error_estimate: float
     samples: tuple[tuple[float, float], ...]
     converged: bool
+    rtol: float
 
 
 def regularized_cross_section(
@@ -143,39 +146,31 @@ def regularized_cross_section(
 ) -> float:
     """sigma(eps) at one finite cutoff, under the given evaluation mode.
 
-    DomainError unless mu*eps and k*eps are positive and finite and,
-    outside TRUNCATED_LOG, in the series domain, or where sigma(eps)
-    overflows.  The message says which eps, if any, would do.
+    DomainError, naming the input, unless eps > 0 and mu*eps and k*eps are
+    at most the series bound 2 (in TRUNCATED_LOG, the largest double), or
+    where sigma(eps) overflows.  A product that rounds to a subnormal or to
+    0 is fine: _log_product takes its log as ln a + ln eps.
     """
     # The one domain check on this route; the kernels below check nothing.
     k, mu = problem.k, problem.bound_state_scale
     z_mu, z_k = mu * eps, k * eps
     z_max = _FLOAT_MAX if mode is _TRUNCATED_LOG else SERIES_Z_MAX
-    if not (0.0 < z_mu <= z_max and 0.0 < z_k <= z_max):
-        low, high = sorted((k, mu))
-        if low * (z_max / high) == 0.0:
-            hint = "no eps keeps both there for this k and e0"
-        elif max(z_mu, z_k) > z_max:
-            hint = "use a smaller eps"
-        else:
-            hint = "use a larger eps"
-        if z_max == SERIES_Z_MAX:
-            bound = f"in the series domain (0, {z_max!r}]"
-        else:
-            bound = "positive and finite"
+    if not (eps > 0.0 and z_mu <= z_max and z_k <= z_max):
         raise DomainError(
-            f"at k={k!r}, e0={problem.e0!r}, eps={eps!r} the cutoff "
-            f"arguments mu*eps = {z_mu!r} and k*eps = {z_k!r} are not both "
-            f"{bound}; {hint}"
+            f"at k={k!r}, e0={problem.e0!r}, eps={eps!r} the cutoff must be positive "
+            f"with mu*eps = {z_mu!r} and k*eps = {z_k!r} both at most {z_max!r}"
         )
+    # ln(z/2) for the series and two-term forms, bare ln z for TRUNCATED_LOG.
+    c = 1.0 if mode is _TRUNCATED_LOG else 0.5
+    log_mu, log_k = _log_product(mu, eps, c), _log_product(k, eps, c)
     if mode is _FULL:
-        k0_value, h0_real = _k0_sum(z_mu), _j0_sum(z_k)
-        h0_imag = _y0_given_j0(z_k, h0_real)
+        k0_value, h0_real = _k0_sum(z_mu, log_mu), _j0_sum(z_k)
+        h0_imag = _y0_given_j0(z_k, h0_real, log_k)
     elif mode is _ASYMPTOTIC:
-        k0_value, h0_real, h0_imag = _k0_log(z_mu), 1.0, _y0_log(z_k)
+        k0_value, h0_real, h0_imag = _k0_log(log_mu), 1.0, _y0_log(log_k)
     elif mode is _TRUNCATED_LOG:
         # Bare logarithms only; no ln 2, no gamma, no real part of H0.
-        k0_value, h0_real, h0_imag = -math.log(z_mu), 0.0, TWO_OVER_PI * math.log(z_k)
+        k0_value, h0_real, h0_imag = -log_mu, 0.0, TWO_OVER_PI * log_k
     else:
         raise ValidationError(f"unknown regularization mode: {mode!r}")
     # bracket = K0/(2 pi) - (i/4) H0 = K0/(2 pi) + H0.imag/4 - i H0.real/4;
@@ -209,16 +204,13 @@ def limit_extrapolate(
         (eps, regularized_cross_section(problem, eps, mode))
         for eps in schedule.epsilons()
     )
-    sigma_last = samples[-1][1]
-    sigma_prev = samples[-2][1]
+    (_, sigma_prev), (_, sigma_last) = samples[-2:]
     error = abs(sigma_last - sigma_prev)
     rtol = _CONVERGENCE_RTOL * min(1.0, 2.0 * (1.0 - schedule.factor))
     converged = error <= rtol * abs(sigma_last)
     return LimitEstimate(
-        sigma_limit=sigma_last,
-        error_estimate=error,
-        samples=samples,
-        converged=converged,
+        sigma_limit=sigma_last, error_estimate=error, samples=samples,
+        converged=converged, rtol=rtol,
     )
 
 

@@ -7,9 +7,10 @@ series are kept to arguments 0 < z <= 2, where a handful of terms gives
 full double accuracy; larger arguments raise DomainError rather than
 silently losing precision.  Stdlib only.
 
-Each public function checks z, then calls a private kernel that checks
-nothing: _j0_sum, _y0_given_j0 and _k0_sum need 0 < z <= SERIES_Z_MAX,
-_k0_log and _y0_log a finite z > 0; their caller owns that precondition.
+Each public function checks z, then calls private kernels that check
+nothing: _j0_sum, _y0_given_j0 and _k0_sum need 0 <= z <= SERIES_Z_MAX.
+All but _j0_sum take ln(z/2) from the caller, as _log_product(a, eps, 0.5)
+for z = a*eps, which owns the rule for a product off the normal doubles.
 """
 
 from __future__ import annotations
@@ -54,11 +55,13 @@ def _require_positive(z: float, name: str) -> None:
         raise DomainError(f"{name} requires finite z > 0, got {z!r}")
 
 
-def _log_half(z: float) -> float:
-    """ln(z/2), as ln z - ln 2 below the normal doubles, where z/2 rounds."""
+def _log_product(a: float, b: float, c: float) -> float:
+    """ln(c*a*b) for c = 1 or 1/2, as ln a + ln b + ln c where a*b is not a
+    normal double: a product rounded to a few bits, or to 0, sets no log."""
+    z = a * b
     if z < _NORMAL_MIN:
-        return math.log(z) - math.log(2.0)
-    return math.log(0.5 * z)
+        return math.log(a) + math.log(b) + math.log(c)
+    return math.log(c * z)
 
 
 def bessel_j0(z: float) -> float:
@@ -87,11 +90,11 @@ def bessel_y0(z: float) -> float:
     with h_m the m-th harmonic number.
     """
     _require_series_domain(z, "bessel_y0")
-    return _y0_given_j0(z, _j0_sum(z))
+    return _y0_given_j0(z, _j0_sum(z), _log_product(z, 1.0, 0.5))
 
 
-def _y0_given_j0(z: float, j0: float) -> float:
-    """Y0(z) from an already summed J0(z)."""
+def _y0_given_j0(z: float, j0: float, log_half: float) -> float:
+    """Y0(z) from an already summed J0(z) and ln(z/2)."""
     q = 0.25 * z * z
     term = sign = 1.0
     correction = 0.0
@@ -103,11 +106,11 @@ def _y0_given_j0(z: float, j0: float) -> float:
         # Once term underflows to 0.0, every later term adds 0.0.
         if harmonic * term < _REL_FLOOR * abs(correction) or term == 0.0:
             break
-    return TWO_OVER_PI * ((_log_half(z) + EULER_GAMMA) * j0 + correction)
+    return TWO_OVER_PI * ((log_half + EULER_GAMMA) * j0 + correction)
 
 
-def _y0_log(z: float) -> float:
-    return TWO_OVER_PI * (_log_half(z) + EULER_GAMMA)
+def _y0_log(log_half: float) -> float:
+    return TWO_OVER_PI * (log_half + EULER_GAMMA)
 
 
 def bessel_k0(z: float) -> float:
@@ -116,10 +119,10 @@ def bessel_k0(z: float) -> float:
     K0(z) = -(ln(z/2) + gamma) I0(z) + sum_{m>=1} h_m (z^2/4)^m / (m!)^2
     """
     _require_series_domain(z, "bessel_k0")
-    return _k0_sum(z)
+    return _k0_sum(z, _log_product(z, 1.0, 0.5))
 
 
-def _k0_sum(z: float) -> float:
+def _k0_sum(z: float, log_half: float) -> float:
     q = 0.25 * z * z
     # One term ladder serves both sums; i0 >= 1 dominates and stops it.
     term = i0 = 1.0
@@ -130,27 +133,27 @@ def _k0_sum(z: float) -> float:
         correction += harmonic * term
         if term < _REL_FLOOR * i0:
             break
-    return -(_log_half(z) + EULER_GAMMA) * i0 + correction
+    return -(log_half + EULER_GAMMA) * i0 + correction
 
 
-def _k0_log(z: float) -> float:
-    return -_log_half(z) - EULER_GAMMA
+def _k0_log(log_half: float) -> float:
+    return -log_half - EULER_GAMMA
 
 
 def hankel1_0(z: float) -> complex:
     """H0(z) = J0(z) + i Y0(z), with one J0 sum serving both components."""
     _require_series_domain(z, "hankel1_0")
     j0 = _j0_sum(z)
-    return complex(j0, _y0_given_j0(z, j0))
+    return complex(j0, _y0_given_j0(z, j0, _log_product(z, 1.0, 0.5)))
 
 
 def k0_small_z(z: float) -> float:
     """Two-term z -> 0 form of K0: -ln(z/2) - gamma."""
     _require_positive(z, "k0_small_z")
-    return _k0_log(z)
+    return _k0_log(_log_product(z, 1.0, 0.5))
 
 
 def hankel1_0_small_z(z: float) -> complex:
     """Two-term z -> 0 form of H0: 1 + (2i/pi)(ln(z/2) + gamma)."""
     _require_positive(z, "hankel1_0_small_z")
-    return complex(1.0, _y0_log(z))
+    return complex(1.0, _y0_log(_log_product(z, 1.0, 0.5)))

@@ -25,6 +25,7 @@ from deltascatter.regularization import (
     EpsilonSchedule,
     RegularizationMode,
     limit_extrapolate,
+    mead_godines_wrong_limit,
 )
 from deltascatter.scattering import (
     CrossSection,
@@ -176,6 +177,21 @@ class TestCrossSection:
             assert float(out.splitlines()[-1].split(",")[-1]) == pytest.approx(4.0, rel=1e-10)
 
     @pytest.mark.parametrize(
+        "factor, rtol", [("0.5", "1e-08"), ("0.9", "2e-09"), ("0.999999", "2e-14")]
+    )
+    def test_warning_names_the_tested_rtol(self, capsys, factor, rtol):
+        # Two cutoffs are too few to converge at any of these factors.
+        code, _, err = run_cli(
+            capsys,
+            [
+                "cross-section", "--k", "1", "--e0=-1", "--method", "limit",
+                "--eps-factor", factor, "--eps-count", "2",
+            ],
+        )
+        assert code == EXIT_NO_CONVERGENCE
+        assert err == f"warning: limit did not converge to relative {rtol}\n"
+
+    @pytest.mark.parametrize(
         "k, e0, method, sigma",
         [
             ("1e300", "-1e-300", "closed", "9.19268423123385e-306"),
@@ -221,7 +237,8 @@ class TestCrossSection:
 
 
 class TestUnderflowedCutoffs:
-    """Where mu*eps underflows to 0 the limit route exits 4, naming the input."""
+    """Where mu*eps underflows to 0 the limit route takes its log from
+    ln mu + ln eps, and lands on the closed form."""
 
     @pytest.mark.parametrize("mode", ["full", "asymptotic", "truncated-log"])
     def test_limit_route(self, capsys, mode):
@@ -232,9 +249,30 @@ class TestUnderflowedCutoffs:
                 "--method", "limit", "--mode", mode,
             ],
         )
-        assert (code, out) == (EXIT_DOMAIN, "")
-        assert "k=1e+300, e0=-1e-300, eps=" in err
-        assert "mu*eps = 0.0" in err
+        assert (code, err) == (EXIT_OK, "")
+        problem = ScatteringProblem(k=1e300, e0=-1e-300)
+        if mode == "truncated-log":
+            expected = mead_godines_wrong_limit(problem)
+        else:
+            expected = cross_section_closed(problem).sigma
+        sigma = float(out.splitlines()[1].split(",")[-1])
+        assert sigma == pytest.approx(expected, rel=1e-12)
+
+    def test_subnormal_cutoff_product_limit(self, capsys):
+        # mu/k is about 1e-318, so mu*eps is a subnormal of a few bits; the
+        # limit taken from the rounded product was 1.2e-4 off, with exit 0.
+        sigma = {}
+        for method in ("closed", "limit"):
+            code, out, err = run_cli(
+                capsys,
+                [
+                    "cross-section", "--k", "3.751301378942422e+258",
+                    "--e0=-2.6617079507249583e-119", "--method", method,
+                ],
+            )
+            assert (code, err) == (EXIT_OK, "")
+            sigma[method] = float(out.splitlines()[1].split(",")[-1])
+        assert sigma["limit"] == pytest.approx(sigma["closed"], rel=1e-12)
 
     def test_memory_does_not_grow_with_eps_count(self, capsys):
         # The cutoffs reach 0 after 322 of the 2 000 000 asked for.
@@ -313,7 +351,10 @@ class TestLimitStudy:
         )
         assert code == EXIT_DOMAIN
         assert out == ""
-        assert "series domain" in err
+        assert err == (
+            "error: at k=1.0, e0=-1.0, eps=3.0 the cutoff must be positive with "
+            "mu*eps = 3.0 and k*eps = 3.0 both at most 2.0\n"
+        )
 
     def test_truncated_resonance_exits_four(self, capsys):
         # the truncated bracket vanishes identically when k = mu

@@ -15,6 +15,7 @@ from deltascatter.regularization import (
 from deltascatter import special_functions
 from deltascatter.scattering import ScatteringProblem, cross_section_closed
 from deltascatter.special_functions import (
+    EULER_GAMMA,
     TWO_OVER_PI,
     bessel_k0,
     hankel1_0,
@@ -166,22 +167,64 @@ class TestRegularizedCrossSection:
         with pytest.raises(DomainError):
             regularized_cross_section(problem_at(1.0, 0.0), eps, RegularizationMode.FULL)
 
-    @pytest.mark.parametrize(
-        "mode, hint",
-        [
-            # mu/k = 1e-450: no eps puts both products in (0, 2].
-            (RegularizationMode.FULL, "not both in the series domain (0, 2.0]; no eps"),
-            (RegularizationMode.ASYMPTOTIC, "series domain (0, 2.0]; no eps"),
-            # Without the series bound eps = 1e-170 would do.
-            (RegularizationMode.TRUNCATED_LOG, "positive and finite; use a larger eps"),
-        ],
-    )
-    def test_underflowed_cutoff_names_the_input(self, mode, hint):
+    @pytest.mark.parametrize("mode", list(RegularizationMode))
+    def test_underflowed_cutoff_names_the_input(self, mode):
+        # mu*eps = 1e-451 underflows to 0, but its log, ln mu + ln eps, is
+        # exact: the sample is finite, and K0's series is its log term alone.
         problem = ScatteringProblem(k=1e300, e0=-1e-300)
-        with pytest.raises(DomainError, match=r"k=1e\+300, e0=-1e-300, eps=1e-301") as info:
-            regularized_cross_section(problem, 1e-301, mode)
-        assert hint in str(info.value)
-        regularized_cross_section(problem, 1e-170, RegularizationMode.TRUNCATED_LOG)
+        eps = 1e-301
+        mu, z_k = problem.bound_state_scale, problem.k * eps
+        assert mu * eps == 0.0
+        log_z_mu = math.log(mu) + math.log(eps)
+        if mode is RegularizationMode.TRUNCATED_LOG:
+            k0_value, h0 = -log_z_mu, complex(0.0, TWO_OVER_PI * math.log(z_k))
+        else:
+            k0_value = -(log_z_mu - math.log(2.0)) - EULER_GAMMA
+            full = mode is RegularizationMode.FULL
+            h0 = (hankel1_0 if full else hankel1_0_small_z)(z_k)
+        bracket = k0_value / (2.0 * math.pi) - 0.25j * h0
+        expected = 1.0 / (4.0 * problem.k * abs(bracket) ** 2)
+        sigma = regularized_cross_section(problem, eps, mode)
+        assert sigma == pytest.approx(expected, rel=1e-12)
+        # A cutoff that itself underflows to 0 is refused, naming the input.
+        with pytest.raises(
+            DomainError, match=r"^at k=1e\+300, e0=-1e-300, eps=0\.0 the cutoff must "
+        ):
+            regularized_cross_section(problem, eps * 1e-30, mode)
+
+    # (k, e0, eps, then .hex() of sigma(eps) in FULL, ASYMPTOTIC and
+    # TRUNCATED_LOG), frozen before products off the normal doubles took
+    # their logs from ln a + ln eps: a product at the smallest normal double
+    # and one ulp above it, a subnormal eps with normal products, and a
+    # product at the top of the series domain.
+    NORMAL_EDGE_PINS = [
+        (1.0, -4.0, 2.2250738585072014e-308,
+         "0x1.ac8d5cec039bbp+1", "0x1.ac8d5cec039bbp+1", "0x1.48ad36a8c3312p+4"),
+        (2.0, -1.0, 2.2250738585072014e-308,
+         "0x1.ac8d5cec039bbp+0", "0x1.ac8d5cec039bbp+0", "0x1.48ad36a8c3312p+3"),
+        (1.0, -4.0, 2.225073858507202e-308,
+         "0x1.ac8d5cec039bbp+1", "0x1.ac8d5cec039bbp+1", "0x1.48ad36a8c3312p+4"),
+        (2.0, -1.0, 2.225073858507202e-308,
+         "0x1.ac8d5cec039bbp+0", "0x1.ac8d5cec039bbp+0", "0x1.48ad36a8c3312p+3"),
+        (1e300, -1e300, 5e-324,
+         "0x1.d0c6509b2190dp-1011", "0x1.d0c6509b2190dp-1011", "0x1.d0c8c69dfc81ep-1011"),
+        (1e300, -1e300, 1e-310,
+         "0x1.d0c6509b2190dp-1011", "0x1.d0c6509b2190dp-1011", "0x1.d0c8c69dfc81ep-1011"),
+        (3e307, -2.5e306, 1e-320,
+         "0x0.0007ada54abfdp-1022", "0x0.0007ada54abfdp-1022", "0x0.0007adaf217f4p-1022"),
+        (4.0, -0.25, 0.5,
+         "0x1.c208b591ebec8p-2", "0x1.74071e211d324p-2", "0x1.2428309602a05p-1"),
+        (1.0, -4.0, 1.0,
+         "0x1.a2badce60c8eap+2", "0x1.ac8d5cec03b66p+1", "0x1.48ad36a8c2f46p+4"),
+        (4.0, -0.25, 0.49999999999999994,
+         "0x1.c208b591ebec6p-2", "0x1.74071e211d322p-2", "0x1.2428309602a05p-1"),
+    ]
+
+    @pytest.mark.parametrize("k, e0, eps, full, asymptotic, truncated", NORMAL_EDGE_PINS)
+    def test_bit_pinned_at_the_normal_edge(self, k, e0, eps, full, asymptotic, truncated):
+        problem = ScatteringProblem(k=k, e0=e0)
+        for mode, pin in zip(RegularizationMode, (full, asymptotic, truncated)):
+            assert regularized_cross_section(problem, eps, mode).hex() == pin
 
     @pytest.mark.parametrize("mode", list(RegularizationMode))
     def test_overflowing_sigma_raises(self, mode):
@@ -212,7 +255,11 @@ class TestRegularizedCrossSection:
     )
     def test_series_domain_guard(self, mode):
         # mu*eps = 3 exceeds the series domain in both restricted modes
-        with pytest.raises(DomainError, match=r"\(0, 2\.0\]; use a smaller eps$"):
+        message = (
+            r"^at k=1\.0, e0=-1\.0, eps=3\.0 the cutoff must be positive with "
+            r"mu\*eps = 3\.0 and k\*eps = 3\.0 both at most 2\.0$"
+        )
+        with pytest.raises(DomainError, match=message):
             regularized_cross_section(problem_at(1.0, 0.0), 3.0, mode)
 
     def test_truncated_accepts_large_eps(self):
@@ -359,6 +406,16 @@ class TestLimitExtrapolate:
         )
         assert not estimate.converged
 
+    @pytest.mark.parametrize(
+        "factor, rtol", [(0.1, 1e-8), (0.5, 1e-8), (0.75, 5e-9), (0.999999, 2e-14)]
+    )
+    def test_rtol_is_the_one_tested(self, factor, rtol):
+        schedule = EpsilonSchedule(eps_start=1e-2, factor=factor, count=3)
+        estimate = limit_extrapolate(problem_at(1.0, 0.5), schedule, RegularizationMode.FULL)
+        assert estimate.rtol == pytest.approx(rtol, rel=1e-9)
+        gap = estimate.error_estimate
+        assert estimate.converged == (gap <= estimate.rtol * estimate.sigma_limit)
+
     def test_domain_error_propagates(self):
         schedule = EpsilonSchedule(eps_start=3.0, factor=0.1, count=2)
         with pytest.raises(DomainError):
@@ -371,6 +428,25 @@ class TestLimitExtrapolate:
         schedule = EpsilonSchedule.default_for(problem)
         closed = cross_section_closed(problem).sigma
         for mode in (RegularizationMode.FULL, RegularizationMode.ASYMPTOTIC):
+            estimate = limit_extrapolate(problem, schedule, mode)
+            assert estimate.converged
+            assert estimate.sigma_limit == pytest.approx(closed, rel=1e-8)
+
+    # The whole double range, where mu/k runs from 1e-450 to 1e450 and a
+    # cutoff product can round to a subnormal or to 0.
+    @given(log_uniform(1e-300, 1e300), log_uniform(1e-150, 1e150))
+    def test_default_schedule_converges_over_the_double_range(self, k, mu):
+        problem = ScatteringProblem(k=k, e0=-mu * mu)
+        schedule = EpsilonSchedule.default_for(problem)
+        try:
+            closed = cross_section_closed(problem).sigma
+        except DomainError:
+            closed = None
+        for mode in (RegularizationMode.FULL, RegularizationMode.ASYMPTOTIC):
+            if closed is None:
+                with pytest.raises(DomainError):
+                    limit_extrapolate(problem, schedule, mode)
+                continue
             estimate = limit_extrapolate(problem, schedule, mode)
             assert estimate.converged
             assert estimate.sigma_limit == pytest.approx(closed, rel=1e-8)
