@@ -52,6 +52,7 @@ _FLAGS = {
     "eps_start": "--eps-start",
     "factor": "--eps-factor",
     "count": "--eps-count",
+    "output": "--output",
 }
 
 
@@ -271,7 +272,13 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.writelines(lines)
             sys.stdout.flush()
         else:
-            with open(args.output, "w", encoding="ascii", newline="\n") as handle:
+            try:
+                handle = open(args.output, "w", encoding="ascii", newline="\n")
+            except OSError as exc:
+                raise ValidationError(
+                    f"output {args.output!r} cannot be opened: {exc.strerror}"
+                ) from None
+            with handle:
                 handle.writelines(lines)
     except ValidationError as exc:
         field, space, rest = str(exc).partition(" ")

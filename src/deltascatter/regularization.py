@@ -30,8 +30,8 @@ from __future__ import annotations
 import enum
 import math
 import sys
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .errors import DomainError, SingularityError, ValidationError
 from .scattering import ScatteringProblem, _checked_sigma
@@ -65,23 +65,22 @@ class RegularizationMode(enum.Enum):
 _FULL, _ASYMPTOTIC, _TRUNCATED_LOG = RegularizationMode  # in definition order
 
 
-@dataclass(frozen=True)
-class EpsilonSchedule:
+class EpsilonSchedule(namedtuple("EpsilonSchedule", "eps_start factor count")):
     """Geometric cutoff sequence eps_start * factor**i for i < count."""
 
-    eps_start: float
-    factor: float
-    count: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.eps_start) and self.eps_start > 0.0):
+    def __init__(self, eps_start: float, factor: float, count: int) -> None:
+        if not (math.isfinite(eps_start) and eps_start > 0.0):
             raise ValidationError(
-                f"eps_start must be finite and positive, got {self.eps_start!r}"
+                f"eps_start must be finite and positive, got {eps_start!r}"
             )
-        if not (0.0 < self.factor < 1.0):
-            raise ValidationError(f"factor must lie in (0, 1), got {self.factor!r}")
-        if not isinstance(self.count, int) or self.count < 2:
-            raise ValidationError(f"count must be an integer >= 2, got {self.count!r}")
+        if not (0.0 < factor < 1.0):
+            raise ValidationError(f"factor must lie in (0, 1), got {factor!r}")
+        if not isinstance(count, int) or count < 2:
+            raise ValidationError(f"count must be an integer >= 2, got {count!r}")
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def epsilons(self) -> Iterator[float]:
         """eps_start * factor**i for i < count, computed as they are taken.
@@ -124,21 +123,15 @@ class EpsilonSchedule:
         return cls(eps_start=eps_start, factor=factor, count=count)
 
 
-@dataclass(frozen=True)
-class LimitEstimate:
-    """Outcome of chasing sigma(eps) down a cutoff schedule.
+LimitEstimate = namedtuple(
+    "LimitEstimate", "sigma_limit error_estimate samples converged rtol"
+)
+LimitEstimate.__doc__ = """Outcome of chasing sigma(eps) down a cutoff schedule.
 
-    sigma_limit is the smallest-cutoff sample, error_estimate the gap
-    between the last two samples, samples the full (eps, sigma(eps))
-    trace in schedule order, and rtol the relative gap that converged
-    was tested against.
-    """
-
-    sigma_limit: float
-    error_estimate: float
-    samples: tuple[tuple[float, float], ...]
-    converged: bool
-    rtol: float
+sigma_limit is the smallest-cutoff sample, error_estimate the gap between
+the last two samples, samples the full (eps, sigma(eps)) trace in schedule
+order, and rtol the relative gap that converged was tested against.
+"""
 
 
 def regularized_cross_section(

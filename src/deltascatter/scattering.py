@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, ValidationError
 
@@ -25,32 +25,29 @@ _PI_SQ = math.pi * math.pi
 _NORMAL_MIN = sys.float_info.min
 
 
-@dataclass(frozen=True)
-class ScatteringProblem:
+class ScatteringProblem(namedtuple("ScatteringProblem", "k e0")):
     """One physical scenario: incident momentum k and bound-state energy e0.
 
     In hbar = 2m = 1 units momenta and inverse lengths coincide and e0
     carries momentum-squared units.  A genuine bound state requires
-    e0 < 0; construction rejects anything else.
+    e0 < 0; construction rejects anything else, and _replace and _make
+    construct, so they validate too.
 
     Construction also computes the derived scales mu, x and ln x, once.
-    They are stored outside the dataclass fields and read through
-    properties, so repr, equality, hashing and dataclasses.fields still
-    see only (k, e0).
+    They are stored outside the tuple and read through properties, so
+    repr, equality, hashing and _fields still see only (k, e0).
     """
 
-    k: float
-    e0: float
+    def __init__(self, k: float, e0: float) -> None:
+        if not (math.isfinite(k) and k > 0.0):
+            raise ValidationError(f"k must be finite and positive, got {k!r}")
+        if not (math.isfinite(e0) and e0 < 0.0):
+            raise ValidationError(f"e0 must be finite and negative, got {e0!r}")
+        self._mu = mu = math.sqrt(-e0)
+        self._x = mu / k
+        self._log_x = _ln_x(mu, k)
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.k) and self.k > 0.0):
-            raise ValidationError(f"k must be finite and positive, got {self.k!r}")
-        if not (math.isfinite(self.e0) and self.e0 < 0.0):
-            raise ValidationError(f"e0 must be finite and negative, got {self.e0!r}")
-        mu = math.sqrt(-self.e0)
-        object.__setattr__(self, "_mu", mu)
-        object.__setattr__(self, "_x", mu / self.k)
-        object.__setattr__(self, "_log_x", _ln_x(mu, self.k))
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def bound_state_scale(self) -> float:
@@ -76,18 +73,11 @@ def _ln_x(mu: float, k: float) -> float:
     return math.log(mu) - math.log(k)
 
 
-@dataclass(frozen=True)
-class CrossSection:
-    """A total cross section (a length in two dimensions)."""
+CrossSection = namedtuple("CrossSection", "sigma")
+CrossSection.__doc__ = "A total cross section (a length in two dimensions)."
 
-    sigma: float
-
-
-@dataclass(frozen=True)
-class PhaseShift:
-    """An s-wave phase shift on the branch (0, pi)."""
-
-    delta0: float
+PhaseShift = namedtuple("PhaseShift", "delta0")
+PhaseShift.__doc__ = "An s-wave phase shift on the branch (0, pi)."
 
 
 def _checked_sigma(k: float, e0: float, numerator: float, denominator: float) -> float:

@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import math
+import pathlib
 import subprocess
 import sys
 import tracemalloc
@@ -492,6 +493,24 @@ class TestOutputPlumbing:
         assert code == EXIT_OK
         assert target.read_bytes() == out.encode("ascii")
 
+    @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cross-section", "--k", "1", "--e0", "-1"],
+            ["limit-study", "--k", "1", "--e0", "-1"],
+            ["sweep", "--e0", "-1", "--k-min", "0.5", "--k-max", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unopenable_output_exits_two(self, capsys, tmp_path, argv, where):
+        target = tmp_path / "missing" / "table.csv" if where == "missing-dir" else tmp_path
+        code, out, err = run_cli(capsys, argv + ["--output", str(target)])
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith(f"error: --output {str(target)!r} cannot be opened: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_determinism_across_runs(self, capsys):
         argv = ["limit-study", "--k", "2", "--e0", "-4", "--mode", "full"]
         _, first, _ = run_cli(capsys, argv)
@@ -508,6 +527,18 @@ class TestOutputPlumbing:
         )
         assert result.returncode == EXIT_OK
         assert result.stdout == out
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import deltascatter.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 
 class TestUnrepresentableSigma:
@@ -671,11 +702,11 @@ class TestSweepKernels:
         built = collections.Counter()
         for cls in (ScatteringProblem, CrossSection, PhaseShift):
 
-            def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
-                built[_name] += 1
-                _init(self, *args, **kwargs)
+            def counted(made, *args, _new=cls.__new__, **kwargs):
+                built[made.__name__] += 1
+                return _new(made, *args, **kwargs)
 
-            monkeypatch.setattr(cls, "__init__", counted)
+            monkeypatch.setattr(cls, "__new__", staticmethod(counted))
         argv = [
             "sweep", "--e0=-1", "--k-min", "0.01", "--k-max", "100",
             "--points", "10000", "--output", str(tmp_path / "table.csv"),
@@ -683,6 +714,11 @@ class TestSweepKernels:
         assert main(argv) == EXIT_OK
         assert built["ScatteringProblem"] <= 1
         assert built["CrossSection"] == built["PhaseShift"] == 0
+        # The count sees the object API when it is used.
+        problem = ScatteringProblem(k=1.0, e0=-1.0)
+        cross_section_closed(problem)
+        s_wave_phase_shift(problem)
+        assert built["CrossSection"] == built["PhaseShift"] == 1
 
 
 @st.composite

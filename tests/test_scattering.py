@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 
@@ -8,6 +7,11 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from deltascatter.errors import DomainError, ValidationError
+from deltascatter.regularization import (
+    EpsilonSchedule,
+    RegularizationMode,
+    limit_extrapolate,
+)
 from deltascatter.scattering import (
     ScatteringProblem,
     cross_section_closed,
@@ -51,9 +55,71 @@ class TestScatteringProblem:
             ScatteringProblem(k=1.0, e0=e0)
 
     def test_immutable(self):
-        problem = ScatteringProblem(k=1.0, e0=-1.0)
-        with pytest.raises(AttributeError):
-            problem.k = 2.0
+        problem = ScatteringProblem(k=1.0, e0=-2.5)
+        schedule = EpsilonSchedule(eps_start=1e-2, factor=0.1, count=2)
+        records = [
+            (problem, ("k", "e0", "bound_state_scale", "x", "log_x")),
+            (cross_section_closed(problem), ("sigma",)),
+            (s_wave_phase_shift(problem), ("delta0",)),
+            (schedule, ("eps_start", "factor", "count")),
+            (
+                limit_extrapolate(problem, schedule, RegularizationMode.ASYMPTOTIC),
+                ("sigma_limit", "error_estimate", "samples", "converged", "rtol"),
+            ),
+        ]
+        for record, names in records:
+            before = [getattr(record, name) for name in names]
+            for name in names:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, 2.0)
+                with pytest.raises(AttributeError):
+                    delattr(record, name)
+            assert [getattr(record, name) for name in names] == before
+
+    def test_record_reprs(self):
+        problem = ScatteringProblem(k=1.0, e0=-2.5)
+        schedule = EpsilonSchedule(eps_start=0.01, factor=0.1, count=2)
+        estimate = limit_extrapolate(problem, schedule, RegularizationMode.ASYMPTOTIC)
+        assert [
+            repr(record)
+            for record in (
+                problem,
+                cross_section_closed(problem),
+                s_wave_phase_shift(problem),
+                schedule,
+                estimate,
+            )
+        ] == [
+            "ScatteringProblem(k=1.0, e0=-2.5)",
+            "CrossSection(sigma=3.6864044949134)",
+            "PhaseShift(delta0=1.8545883457278631)",
+            "EpsilonSchedule(eps_start=0.01, factor=0.1, count=2)",
+            "LimitEstimate(sigma_limit=3.6864044949133996, "
+            "error_estimate=8.881784197001252e-16, "
+            "samples=((0.01, 3.6864044949134005), (0.001, 3.6864044949133996)), "
+            "converged=True, rtol=1e-08)",
+        ]
+
+    def test_replace_and_make_validate(self):
+        problem = ScatteringProblem(k=1.0, e0=-2.5)
+        schedule = EpsilonSchedule(eps_start=1e-2, factor=0.1, count=2)
+        with pytest.raises(ValidationError, match="^k "):
+            problem._replace(k=-1.0)
+        with pytest.raises(ValidationError, match="^e0 "):
+            ScatteringProblem._make((1.0, 0.0))
+        with pytest.raises(ValidationError, match="^factor "):
+            schedule._replace(factor=2.0)
+        with pytest.raises(ValidationError, match="^count "):
+            EpsilonSchedule._make((1e-2, 0.1, 1))
+
+    def test_replace_computes_the_derived_scales_again(self):
+        replaced = ScatteringProblem(k=1.0, e0=-2.5)._replace(k=2.0)
+        fresh = ScatteringProblem(k=2.0, e0=-2.5)
+        assert type(replaced) is ScatteringProblem and replaced == fresh
+        derived = ("bound_state_scale", "x", "log_x")
+        assert [getattr(replaced, name).hex() for name in derived] == [
+            getattr(fresh, name).hex() for name in derived
+        ]
 
     def test_bound_state_scale(self):
         assert ScatteringProblem(k=1.0, e0=-1.0).bound_state_scale == 1.0
@@ -85,7 +151,7 @@ class TestScatteringProblem:
         assert repr(problem) == f"ScatteringProblem(k={k!r}, e0={e0!r})"
         assert problem == ScatteringProblem(k=k, e0=e0)
         assert hash(problem) == hash((k, e0))
-        assert [f.name for f in dataclasses.fields(problem)] == ["k", "e0"]
+        assert ScatteringProblem._fields == ("k", "e0")
 
 
 class TestClosedForm:
