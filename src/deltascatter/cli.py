@@ -6,7 +6,8 @@ Subcommands:
   limit-study    sigma(eps) trace down a cutoff schedule plus its limit
   sweep          closed-form observables over a geometric momentum grid
 
-Exit codes: 0 success, 2 invalid input, 3 limit did not converge,
+Exit codes: 0 success, 2 invalid input or an output (stdout or --output)
+that cannot be opened or written, 3 limit did not converge,
 4 argument outside a function's accuracy domain (which includes the
 singular points where an expression has no finite value, and a cross
 section beyond the largest double).  sweep writes rows from the closed-form
@@ -52,7 +53,6 @@ _FLAGS = {
     "eps_start": "--eps-start",
     "factor": "--eps-factor",
     "count": "--eps-count",
-    "output": "--output",
 }
 
 
@@ -61,20 +61,20 @@ def _require(condition: bool, message: str) -> None:
         raise ValidationError(message)
 
 
-def _schedule(args: argparse.Namespace, problem: ScatteringProblem) -> EpsilonSchedule:
-    """The schedule the flags ask for; omitted flags come from default_for.
+def _limit(args: argparse.Namespace, problem: ScatteringProblem) -> LimitEstimate:
+    """limit_extrapolate down the schedule the flags ask for.
 
-    default_for's count, at --eps-factor, belongs to its start, so it is
-    taken only with --eps-start omitted; otherwise the count defaults to 5.
+    Without --eps-start the schedule is default_for's at --eps-factor; with
+    it the count is 5, since default_for's count belongs to its own start.
+    --eps-count replaces either count.
     """
     if args.eps_start is None:
-        default = EpsilonSchedule.default_for(problem, args.eps_factor)
-        eps_start, count = default.eps_start, default.count
+        schedule = EpsilonSchedule.default_for(problem, args.eps_factor)
     else:
-        eps_start, count = args.eps_start, 5
+        schedule = EpsilonSchedule(args.eps_start, args.eps_factor, 5)
     if args.eps_count is not None:
-        count = args.eps_count
-    return EpsilonSchedule(eps_start=eps_start, factor=args.eps_factor, count=count)
+        schedule = schedule._replace(count=args.eps_count)
+    return limit_extrapolate(problem, schedule, RegularizationMode(args.mode))
 
 
 def run_cross_section(
@@ -87,8 +87,7 @@ def run_cross_section(
     elif args.method == "partial-wave":
         sigma = cross_section_partial_wave(problem).sigma
     else:
-        schedule = _schedule(args, problem)
-        estimate = limit_extrapolate(problem, schedule, RegularizationMode(args.mode))
+        estimate = _limit(args, problem)
         sigma = estimate.sigma_limit
     record = "%#.15g,%#.15g,%#.15g,%#.15g,%s,%#.15g\n" % (
         problem.k, problem.e0, problem.x, problem.log_x, args.method, sigma
@@ -98,8 +97,7 @@ def run_cross_section(
 
 def run_limit_study(args: argparse.Namespace) -> tuple[list[str], LimitEstimate]:
     problem = ScatteringProblem(k=args.k, e0=args.e0)
-    schedule = _schedule(args, problem)
-    estimate = limit_extrapolate(problem, schedule, RegularizationMode(args.mode))
+    estimate = _limit(args, problem)
     sigma_closed = cross_section_closed(problem).sigma
     lines = ["eps,sigma_eps,abs_err_vs_closed\n"]
     for eps, sigma_eps in estimate.samples:
@@ -269,16 +267,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         lines, estimate = args.run(args)
         if args.output is None:
-            sys.stdout.writelines(lines)
-            sys.stdout.flush()
-        else:
             try:
-                handle = open(args.output, "w", encoding="ascii", newline="\n")
-            except OSError as exc:
-                raise ValidationError(
-                    f"output {args.output!r} cannot be opened: {exc.strerror}"
-                ) from None
-            with handle:
+                sys.stdout.writelines(lines)
+            finally:
+                sys.stdout.flush()
+        else:
+            with open(args.output, "w", encoding="ascii", newline="\n") as handle:
                 handle.writelines(lines)
     except ValidationError as exc:
         field, space, rest = str(exc).partition(" ")
@@ -287,15 +281,20 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, SingularityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except BrokenPipeError:
-        # The reader has gone, so nothing more can be delivered: stop
-        # quietly.  What stdout still buffers goes to devnull, so the
-        # interpreter's final flush cannot fail again.
+    except OSError as exc:
+        # What stdout still buffers goes to devnull, so the final flush
+        # cannot fail again; a reader that has gone ends the run quietly.
         if args.output is None:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        return EXIT_OK
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_OK
+        target = "stdout" if args.output is None else f"--output {args.output!r}"
+        # open() names the file it failed on; a failed write names none.
+        failed = "written" if exc.filename is None else "opened"
+        print(f"error: {target} cannot be {failed}: {exc.strerror}", file=sys.stderr)
+        return EXIT_VALIDATION
     if estimate is None or estimate.converged:
         return EXIT_OK
     sys.stderr.write("warning: limit did not converge to relative %g\n" % estimate.rtol)

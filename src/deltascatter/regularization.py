@@ -106,19 +106,18 @@ class EpsilonSchedule(namedtuple("EpsilonSchedule", "eps_start factor count")):
         """Default schedule adapted to the problem's momentum scales.
 
         eps_start shrinks tenfold from 1e-2 until k*eps and mu*eps fit the
-        series domain; count grows from 5 until max(k, mu)*eps, falling by
-        factor, reaches 7e-6 (where the last two FULL samples pass the
-        convergence test) or, for a factor near 1, count reaches 10 000.
+        series domain; a factor outside (0, 1) is rejected before the count,
+        which grows from 5 until max(k, mu)*eps, falling by factor, reaches
+        7e-6 (where the last two FULL samples pass the convergence test) or,
+        for a factor near 1, count reaches 10 000.
         """
         eps_start = 1e-2
         scale = max(problem.k, problem.bound_state_scale)
         while scale * eps_start > SERIES_Z_MAX:
             eps_start *= 1e-1
         count = 5
-        # A factor outside (0, 1), rejected below, stops this by count 6.
-        while factor < 1.0 and count < 10_000 and (
-            scale * (eps_start * factor ** (count - 1)) > 7e-6
-        ):
+        cls(eps_start, factor, count)  # rejects a bad factor
+        while count < 10_000 and scale * (eps_start * factor ** (count - 1)) > 7e-6:
             count += 1
         return cls(eps_start=eps_start, factor=factor, count=count)
 

@@ -1,11 +1,15 @@
 import collections
 import contextlib
+import errno
 import hashlib
 import io
 import math
+import os
 import pathlib
+import random
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import pytest
@@ -37,6 +41,7 @@ from deltascatter.scattering import (
 )
 
 E0_LOG_X_ONE = -math.e**2  # ln x = 1 at k = 1
+DEV_FULL = pathlib.Path("/dev/full")  # a device on which every write fails
 
 
 def run_cli(capsys, argv):
@@ -397,21 +402,33 @@ class TestLimitStudy:
         assert float(lines[-1].split(",")[1]) == pytest.approx(sigma_closed, rel=3e-11)
 
     @pytest.mark.parametrize(
-        "flag, value",
+        "flags, message",
         [
-            ("--eps-start", "-1"),
-            ("--eps-start", "inf"),
-            ("--eps-factor", "1"),
+            ("--eps-start -1", "--eps-start must be finite and positive, got -1.0"),
+            ("--eps-start inf", "--eps-start must be finite and positive, got inf"),
+            ("--eps-factor 1", "--eps-factor must lie in (0, 1), got 1.0"),
             # Rounds cutoff 3 back to cutoff 2.
-            ("--eps-factor", "0.9999999999999999"),
+            (
+                "--eps-factor 0.9999999999999999",
+                "--eps-factor must shrink every cutoff, but cutoff 3, "
+                "0.009999999999999998, is not below 0.009999999999999998",
+            ),
+            # Of two bad flags, the one checked first is named.
+            (
+                "--eps-start -1 --eps-count 1",
+                "--eps-start must be finite and positive, got -1.0",
+            ),
+            ("--eps-factor 1 --eps-count 1", "--eps-factor must lie in (0, 1), got 1.0"),
+            (
+                "--eps-start -1 --eps-factor 2",
+                "--eps-start must be finite and positive, got -1.0",
+            ),
         ],
     )
-    def test_bad_schedule_flag_is_named(self, capsys, flag, value):
-        code, out, err = run_cli(
-            capsys, ["limit-study", "--k", "1", "--e0", "-1", flag, value]
-        )
-        assert (code, out) == (EXIT_VALIDATION, "")
-        assert err.startswith(f"error: {flag} ")
+    def test_bad_schedule_flag_is_named(self, capsys, flags, message):
+        argv = ["limit-study", "--k", "1", "--e0", "-1"] + flags.split()
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, err) == (EXIT_VALIDATION, "", f"error: {message}\n")
 
     def test_subnormal_start_names_the_factor(self, capsys):
         # 0.9 * 5e-324 rounds back to 5e-324.
@@ -510,6 +527,39 @@ class TestOutputPlumbing:
         assert err.startswith(f"error: --output {str(target)!r} cannot be opened: ")
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not DEV_FULL.exists(), reason="no /dev/full")
+    @pytest.mark.parametrize("target", ["stdout", "unbuffered-stdout", "--output"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cross-section", "--k", "1", "--e0", "-1"],
+            ["limit-study", "--k", "1", "--e0", "-1"],
+            ["sweep", "--e0=-1", "--k-min", "0.01", "--k-max", "100", "--points", "100000"],
+            # The first row fails with a DomainError while the header is buffered.
+            ["sweep", "--e0=-1", "--k-min", "1e-320", "--k-max", "1", "--points", "5"],
+        ],
+        ids=["cross-section", "limit-study", "sweep", "sweep-domain-error"],
+    )
+    def test_unwritable_output_exits_two(self, argv, target):
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        command = [sys.executable, "-m", "deltascatter"] + argv
+        if target == "unbuffered-stdout":
+            command.insert(1, "-u")
+        if target == "--output":
+            command += ["--output", str(DEV_FULL)]
+            where = f"--output {str(DEV_FULL)!r}"
+        else:
+            where = "stdout"
+        with open(DEV_FULL, "w") as full:
+            result = subprocess.run(
+                command, stdout=full, stderr=subprocess.PIPE, env=env, text=True
+            )
+        assert (result.returncode, result.stderr) == (
+            EXIT_VALIDATION,
+            f"error: {where} cannot be written: {os.strerror(errno.ENOSPC)}\n",
+        )
 
     def test_determinism_across_runs(self, capsys):
         argv = ["limit-study", "--k", "2", "--e0", "-4", "--mode", "full"]
@@ -723,11 +773,15 @@ class TestSweepKernels:
 
 @st.composite
 def cli_argvs(draw):
-    """Any argv of the cross-section/limit-study grammar, over all doubles."""
-    subcommand = draw(st.sampled_from(["cross-section", "limit-study"]))
-    k = draw(log_uniform(1e-320, 1e308))
+    """Any argv of the grammar, over all doubles."""
+    subcommand = draw(st.sampled_from(["cross-section", "limit-study", "sweep"]))
     e0 = -draw(log_uniform(1e-320, 1e308))
-    argv = [subcommand, "--k", repr(k), f"--e0={e0!r}"]
+    argv = [subcommand, f"--e0={e0!r}"]
+    if subcommand == "sweep":
+        for flag in ("--k-min", "--k-max"):
+            argv.append(f"{flag}={draw(log_uniform(1e-320, 1e308))!r}")
+        return argv + ["--points", str(draw(st.integers(0, 50)))]
+    argv += ["--k", repr(draw(log_uniform(1e-320, 1e308)))]
     if subcommand == "cross-section":
         argv += ["--method", draw(st.sampled_from(["closed", "partial-wave", "limit"]))]
     argv += ["--mode", draw(st.sampled_from(["full", "asymptotic", "truncated-log"]))]
@@ -742,11 +796,86 @@ def cli_argvs(draw):
     return argv
 
 
-@settings(max_examples=500, deadline=None)
-@given(cli_argvs())
-def test_no_argv_in_the_grammar_exits_one(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
-        io.StringIO()
-    ):
+def run_main(argv):
+    """(exit code, stdout, stderr) of main, run in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=500, deadline=None)
+@given(cli_argvs(), st.sampled_from([None, "file", "dir", "missing-dir", "dev-full"]))
+def test_no_argv_in_the_grammar_exits_one(argv, output):
+    assume(output != "dev-full" or DEV_FULL.exists())
+    code, out, err = run_main(argv)
     assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NO_CONVERGENCE, EXIT_DOMAIN)
+    if output is None:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        target = {
+            "file": os.path.join(tmp, "table.csv"),
+            "dir": tmp,
+            "missing-dir": os.path.join(tmp, "missing", "table.csv"),
+            "dev-full": str(DEV_FULL),
+        }[output]
+        result = run_main(argv + ["--output", target])
+        if output == "file":
+            table = pathlib.Path(target)
+            assert (table.read_text("ascii") if table.exists() else "") == out
+    if output == "file" or out == "":
+        # Written in full, or the run stopped before the output was opened.
+        assert result == (code, "", err)
+    else:
+        failed = "written" if output == "dev-full" else "opened"
+        assert result[:2] == (EXIT_VALIDATION, "")
+        assert result[2].startswith(f"error: --output {target!r} cannot be {failed}: ")
+        assert result[2].count("\n") == 1
+
+
+def fingerprint_argv(rng):
+    """One argv of any subcommand, with good and bad values for every flag.
+
+    Numbers are drawn as decimal strings from integers, so the argvs are
+    the same on every platform.
+    """
+
+    def number(low, high):
+        if rng.random() < 0.1:
+            return rng.choice(["0", "1", "inf", "nan", "5e-324", "1e308", "x"])
+        return f"{rng.randint(1, 99)}e{rng.randint(low, high)}"
+
+    def maybe(flag, value):
+        return [f"{flag}={value}"] if rng.random() < 0.5 else []
+
+    subcommand = rng.choice(["cross-section", "limit-study", "sweep"])
+    sign = "-" if rng.random() < 0.9 else ""
+    argv = [subcommand, f"--e0={sign}{number(-320, 308)}"]
+    if subcommand == "sweep":
+        argv += [f"--k-min={number(-320, 10)}", f"--k-max={number(-10, 308)}"]
+        return argv + maybe("--points", rng.choice(["-1", "1", "2", "5", "40", "x"]))
+    argv.append(f"--k={'-' if rng.random() < 0.1 else ''}{number(-320, 308)}")
+    if subcommand == "cross-section":
+        argv += maybe("--method", rng.choice(["closed", "partial-wave", "limit", "x"]))
+    argv += maybe("--mode", rng.choice(["full", "asymptotic", "truncated-log", "x"]))
+    argv += maybe("--eps-start", rng.choice(["-1", "0", "inf", "nan", "3", "5e-324"])
+                  if rng.random() < 0.3 else number(-320, 0))
+    argv += maybe("--eps-factor", rng.choice(
+        ["0.1", "0.5", "0.9", "0.9999999999999999", "1", "0", "-0.5", "nan", "x"]))
+    return argv + maybe("--eps-count", rng.choice(["-1", "1", "2", "2", "3", "5", "8", "x"]))
+
+
+def test_fingerprint_of_exit_codes_and_texts():
+    # argparse's own messages differ between Python versions, so a flag it
+    # rejects is pinned by exit code and the argument blamed, not by text.
+    digest = hashlib.sha256()
+    rng = random.Random(20261019)
+    for _ in range(1000):
+        argv = fingerprint_argv(rng)
+        code, out, err = run_main(argv)
+        if err.startswith("usage:"):
+            err = err.splitlines()[-1].partition(": error: ")[2].partition(":")[0]
+        digest.update(repr((argv, code, out, err)).encode())
+    assert digest.hexdigest() == (
+        "91f021e36d00a272948e98e68d3e99bb2268f42c305ecd57d8f670eab5c7a2c6"
+    )
