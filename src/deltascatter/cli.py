@@ -18,6 +18,7 @@ already written.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import re
@@ -54,11 +55,6 @@ _FLAGS = {
     "factor": "--eps-factor",
     "count": "--eps-count",
 }
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValidationError(message)
 
 
 def _limit(args: argparse.Namespace, problem: ScatteringProblem) -> LimitEstimate:
@@ -120,11 +116,12 @@ def _geometric_grid(k_min: float, k_max: float, points: int) -> Iterator[float]:
     yield k_max
 
 
-def _sweep_rows(e0: float, grid: Iterable[float]) -> Iterator[str]:
-    """Rows from the object API's kernels, with no object per row: e0 is
-    checked already, and every grid k lies between checked endpoints."""
+def _sweep_rows(problem: ScatteringProblem, grid: Iterable[float]) -> Iterator[str]:
+    """Rows from the object API's kernels, with no object per row: problem
+    holds the checked e0 and its mu, and every grid k lies between checked
+    endpoints, the first of which is problem.k."""
     yield "k,ln_x,delta0,sigma,sigma_times_k\n"
-    mu = math.sqrt(-e0)
+    e0, mu = problem.e0, problem.bound_state_scale
     for k in grid:
         log_x = _ln_x(mu, k)
         sigma = _closed_sigma(k, e0, log_x)
@@ -134,61 +131,60 @@ def _sweep_rows(e0: float, grid: Iterable[float]) -> Iterator[str]:
 def run_sweep(args: argparse.Namespace) -> tuple[Iterator[str], None]:
     """The sweep table as lazily computed lines, after checking every flag.
 
-    Every flag is checked before the first line, --e0 by building the first
-    row's problem, so a bad flag writes nothing; a later error ends the table.
+    Every flag is checked before the first line, --e0 by building the
+    problem at --k-min, whose e0 and mu every row then reads, so a bad flag
+    writes nothing; a later error ends the table.
     """
-    _require(
-        math.isfinite(args.k_min) and args.k_min > 0.0,
-        f"--k-min must be finite and positive, got {args.k_min!r}",
-    )
-    _require(
-        math.isfinite(args.k_max) and args.k_max > 0.0,
-        f"--k-max must be finite and positive, got {args.k_max!r}",
-    )
-    _require(
-        args.k_min < args.k_max,
-        f"--k-min must be below --k-max, got {args.k_min!r} >= {args.k_max!r}",
-    )
-    _require(args.points >= 2, f"--points must be >= 2, got {args.points!r}")
-    ScatteringProblem(k=args.k_min, e0=args.e0)
+    for flag, k in (("--k-min", args.k_min), ("--k-max", args.k_max)):
+        if not (math.isfinite(k) and k > 0.0):
+            raise ValidationError(f"{flag} must be finite and positive, got {k!r}")
+    if args.k_min >= args.k_max:
+        raise ValidationError(
+            f"--k-min must be below --k-max, got {args.k_min!r} >= {args.k_max!r}"
+        )
+    if args.points < 2:
+        raise ValidationError(f"--points must be >= 2, got {args.points!r}")
+    problem = ScatteringProblem(k=args.k_min, e0=args.e0)
     grid = _geometric_grid(args.k_min, args.k_max, args.points)
-    return _sweep_rows(args.e0, grid), None
+    return _sweep_rows(problem, grid), None
 
 
-def _add_problem_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--k", type=float, required=True, help="incident momentum")
-    sub.add_argument(
-        "--e0", type=float, required=True, help="bound-state energy, must be negative"
-    )
-
-
-def _add_schedule_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--mode",
-        choices=sorted(mode.value for mode in RegularizationMode),
-        default=RegularizationMode.FULL.value,
-        help="how the cutoff bracket is evaluated",
-    )
-    sub.add_argument(
-        "--eps-start",
-        type=float,
-        default=None,
-        help="largest cutoff (default: 1e-2, shrunk to fit the series domain)",
-    )
-    sub.add_argument("--eps-factor", type=float, default=1e-1)
-    sub.add_argument(
-        "--eps-count",
-        type=int,
-        default=None,
-        help="number of cutoffs (default: 5 with --eps-start, otherwise enough "
-        "at --eps-factor to take max(k, mu)*eps down to 7e-6)",
-    )
-
-
-def _add_output_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--output", default=None, help="write the table here instead of stdout"
-    )
+# Each flag's add_argument keywords, and each subcommand's summary, runner
+# and flags in help order.
+_ARGUMENTS = {
+    "--k": dict(type=float, required=True, help="incident momentum"),
+    "--e0": dict(type=float, required=True,
+                 help="bound-state energy, must be negative"),
+    "--method": dict(choices=("closed", "partial-wave", "limit"), default="closed",
+                     help="route to the cross section"),
+    "--mode": dict(choices=sorted(mode.value for mode in RegularizationMode),
+                   default=RegularizationMode.FULL.value,
+                   help="how the cutoff bracket is evaluated"),
+    "--eps-start": dict(type=float, help="largest cutoff (default: 1e-2, shrunk "
+                        "to fit the series domain)"),
+    "--eps-factor": dict(type=float, default=1e-1),
+    "--eps-count": dict(type=int, help="number of cutoffs (default: 5 with "
+                        "--eps-start, otherwise enough at --eps-factor to take "
+                        "max(k, mu)*eps down to 7e-6)"),
+    "--k-min": dict(type=float, required=True),
+    "--k-max": dict(type=float, required=True),
+    "--points": dict(type=int, default=9),
+    "--output": dict(help="write the table here instead of stdout"),
+}
+_SUBCOMMANDS = {
+    "cross-section": (
+        "one (k, e0) pair by a chosen route", run_cross_section,
+        "--k --e0 --method --mode --eps-start --eps-factor --eps-count --output",
+    ),
+    "limit-study": (
+        "sigma(eps) trace down a cutoff schedule", run_limit_study,
+        "--k --e0 --mode --eps-start --eps-factor --eps-count --output",
+    ),
+    "sweep": (
+        "closed-form observables over a momentum grid", run_sweep,
+        "--e0 --k-min --k-max --points --output",
+    ),
+}
 
 
 # What argparse from Python 3.13 on takes for the start of a negative number.
@@ -218,41 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-
-    cross = subparsers.add_parser(
-        "cross-section", help="one (k, e0) pair by a chosen route"
-    )
-    cross.set_defaults(run=run_cross_section)
-    _add_problem_flags(cross)
-    cross.add_argument(
-        "--method",
-        choices=("closed", "partial-wave", "limit"),
-        default="closed",
-        help="route to the cross section",
-    )
-    _add_schedule_flags(cross)
-    _add_output_flag(cross)
-
-    study = subparsers.add_parser(
-        "limit-study", help="sigma(eps) trace down a cutoff schedule"
-    )
-    study.set_defaults(run=run_limit_study)
-    _add_problem_flags(study)
-    _add_schedule_flags(study)
-    _add_output_flag(study)
-
-    sweep = subparsers.add_parser(
-        "sweep", help="closed-form observables over a momentum grid"
-    )
-    sweep.set_defaults(run=run_sweep)
-    sweep.add_argument(
-        "--e0", type=float, required=True, help="bound-state energy, must be negative"
-    )
-    sweep.add_argument("--k-min", type=float, required=True)
-    sweep.add_argument("--k-max", type=float, required=True)
-    sweep.add_argument("--points", type=int, default=9)
-    _add_output_flag(sweep)
-
+    for name, (summary, run, flags) in _SUBCOMMANDS.items():
+        sub = subparsers.add_parser(name, help=summary)
+        sub.set_defaults(run=run)
+        for flag in flags.split():
+            sub.add_argument(flag, **_ARGUMENTS[flag])
     return parser
 
 
@@ -284,10 +250,17 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         # What stdout still buffers goes to devnull, so the final flush
         # cannot fail again; a reader that has gone ends the run quietly.
+        # A stdout with no descriptor, such as an in-process caller's
+        # StringIO, has none to redirect, and the caller owns what it holds.
         if args.output is None:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+            try:
+                stdout_fd = sys.stdout.fileno()
+            except io.UnsupportedOperation:
+                pass
+            else:
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, stdout_fd)
+                os.close(devnull)
         if isinstance(exc, BrokenPipeError):
             return EXIT_OK
         target = "stdout" if args.output is None else f"--output {args.output!r}"

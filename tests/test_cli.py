@@ -23,6 +23,7 @@ from deltascatter.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     _geometric_grid,
+    build_parser,
     main,
 )
 from deltascatter.errors import DomainError
@@ -577,6 +578,118 @@ class TestOutputPlumbing:
         )
         assert result.returncode == EXIT_OK
         assert result.stdout == out
+
+
+class FailingStringIO(io.StringIO):
+    """A stdout with no file descriptor on which every write fails."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+PROC_FD = pathlib.Path("/proc/self/fd")
+
+
+@pytest.mark.parametrize(
+    "error, code, message",
+    [
+        (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), EXIT_VALIDATION,
+         f"error: stdout cannot be written: {os.strerror(errno.ENOSPC)}\n"),
+        (BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)), EXIT_OK, ""),
+    ],
+    ids=["no-space", "broken-pipe"],
+)
+def test_failed_write_to_a_stdout_without_descriptor(error, code, message):
+    open_fds = len(os.listdir(PROC_FD)) if PROC_FD.exists() else None
+    err = io.StringIO()
+    with contextlib.redirect_stdout(FailingStringIO(error)), contextlib.redirect_stderr(err):
+        result = main(["cross-section", "--k", "1", "--e0", "-1"])
+    assert (result, err.getvalue()) == (code, message)
+    if open_fds is not None:
+        assert len(os.listdir(PROC_FD)) == open_fds
+
+
+def flag_rows(parser):
+    """Each action of parser, and each entry of its subcommand list, as values."""
+    rows = []
+    for action in parser._actions:
+        for a in [action, *getattr(action, "_choices_actions", ())]:
+            rows.append((
+                a.option_strings, a.dest, a.default, getattr(a.type, "__name__", a.type),
+                None if a.choices is None else list(a.choices), a.required, a.help,
+            ))
+    return rows
+
+
+def test_every_parser_flag_is_pinned():
+    # --help's layout differs between Python versions; what it is made of does not.
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if a.dest == "subcommand"]
+    parsers = {"deltascatter": parser, **subparsers.choices}
+    eps_start_help = "largest cutoff (default: 1e-2, shrunk to fit the series domain)"
+    eps_count_help = (
+        "number of cutoffs (default: 5 with --eps-start, otherwise enough at "
+        "--eps-factor to take max(k, mu)*eps down to 7e-6)"
+    )
+    assert {name: flag_rows(p) for name, p in parsers.items()} == {
+        "deltascatter": [
+            (["-h", "--help"], "help", "==SUPPRESS==", None, None, False,
+             "show this help message and exit"),
+            ([], "subcommand", None, None, ["cross-section", "limit-study", "sweep"],
+             True, None),
+            ([], "cross-section", None, None, None, False,
+             "one (k, e0) pair by a chosen route"),
+            ([], "limit-study", None, None, None, False,
+             "sigma(eps) trace down a cutoff schedule"),
+            ([], "sweep", None, None, None, False,
+             "closed-form observables over a momentum grid"),
+        ],
+        "cross-section": [
+            (["-h", "--help"], "help", "==SUPPRESS==", None, None, False,
+             "show this help message and exit"),
+            (["--k"], "k", None, "float", None, True, "incident momentum"),
+            (["--e0"], "e0", None, "float", None, True,
+             "bound-state energy, must be negative"),
+            (["--method"], "method", "closed", None,
+             ["closed", "partial-wave", "limit"], False, "route to the cross section"),
+            (["--mode"], "mode", "full", None, ["asymptotic", "full", "truncated-log"],
+             False, "how the cutoff bracket is evaluated"),
+            (["--eps-start"], "eps_start", None, "float", None, False, eps_start_help),
+            (["--eps-factor"], "eps_factor", 0.1, "float", None, False, None),
+            (["--eps-count"], "eps_count", None, "int", None, False, eps_count_help),
+            (["--output"], "output", None, None, None, False,
+             "write the table here instead of stdout"),
+        ],
+        "limit-study": [
+            (["-h", "--help"], "help", "==SUPPRESS==", None, None, False,
+             "show this help message and exit"),
+            (["--k"], "k", None, "float", None, True, "incident momentum"),
+            (["--e0"], "e0", None, "float", None, True,
+             "bound-state energy, must be negative"),
+            (["--mode"], "mode", "full", None, ["asymptotic", "full", "truncated-log"],
+             False, "how the cutoff bracket is evaluated"),
+            (["--eps-start"], "eps_start", None, "float", None, False, eps_start_help),
+            (["--eps-factor"], "eps_factor", 0.1, "float", None, False, None),
+            (["--eps-count"], "eps_count", None, "int", None, False, eps_count_help),
+            (["--output"], "output", None, None, None, False,
+             "write the table here instead of stdout"),
+        ],
+        "sweep": [
+            (["-h", "--help"], "help", "==SUPPRESS==", None, None, False,
+             "show this help message and exit"),
+            (["--e0"], "e0", None, "float", None, True,
+             "bound-state energy, must be negative"),
+            (["--k-min"], "k_min", None, "float", None, True, None),
+            (["--k-max"], "k_max", None, "float", None, True, None),
+            (["--points"], "points", 9, "int", None, False, None),
+            (["--output"], "output", None, None, None, False,
+             "write the table here instead of stdout"),
+        ],
+    }
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

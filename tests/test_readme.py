@@ -1,8 +1,14 @@
-"""README's fenced python blocks run as written, so the library example
-cannot drift from the API."""
+"""README's fenced python blocks run as written, and each command-line
+example prints exactly the text shown under it, so neither can drift from
+the program."""
 
+import contextlib
+import io
 import pathlib
 import re
+import shlex
+
+from deltascatter.cli import EXIT_OK, main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -12,3 +18,17 @@ def test_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_command_line_examples_print_what_they_show():
+    examples = re.findall(
+        r"^```\n\$ deltascatter (.*?)\n(.*?)^```$", README.read_text(), re.M | re.S
+    )
+    assert examples
+    for command, shown in examples:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(shlex.split(command))
+        assert (command, code, out.getvalue(), err.getvalue()) == (
+            command, EXIT_OK, shown, ""
+        )
