@@ -23,11 +23,12 @@ import math
 import os
 import re
 import sys
+from collections import deque
 from collections.abc import Iterable, Iterator
 
 from .errors import DomainError, SingularityError, ValidationError
 from .regularization import (
-    EpsilonSchedule, LimitEstimate, RegularizationMode, limit_extrapolate
+    EpsilonSchedule, LimitEstimate, RegularizationMode, _estimate, _sigma_trace
 )
 from .scattering import (
     ScatteringProblem,
@@ -57,8 +58,11 @@ _FLAGS = {
 }
 
 
-def _limit(args: argparse.Namespace, problem: ScatteringProblem) -> LimitEstimate:
-    """limit_extrapolate down the schedule the flags ask for.
+def _limit(
+    args: argparse.Namespace, problem: ScatteringProblem, keep: int | None = None
+) -> LimitEstimate:
+    """limit_extrapolate's estimate down the schedule the flags ask for; its
+    samples are the last keep (None: all), so memory need not grow with them.
 
     Without --eps-start the schedule is default_for's at --eps-factor; with
     it the count is 5, since default_for's count belongs to its own start.
@@ -70,7 +74,8 @@ def _limit(args: argparse.Namespace, problem: ScatteringProblem) -> LimitEstimat
         schedule = EpsilonSchedule(args.eps_start, args.eps_factor, 5)
     if args.eps_count is not None:
         schedule = schedule._replace(count=args.eps_count)
-    return limit_extrapolate(problem, schedule, RegularizationMode(args.mode))
+    trace = _sigma_trace(problem, schedule.epsilons(), RegularizationMode(args.mode))
+    return _estimate(tuple(deque(trace, keep)), schedule.factor)
 
 
 def run_cross_section(
@@ -83,7 +88,7 @@ def run_cross_section(
     elif args.method == "partial-wave":
         sigma = cross_section_partial_wave(problem).sigma
     else:
-        estimate = _limit(args, problem)
+        estimate = _limit(args, problem, keep=2)
         sigma = estimate.sigma_limit
     record = "%#.15g,%#.15g,%#.15g,%#.15g,%s,%#.15g\n" % (
         problem.k, problem.e0, problem.x, problem.log_x, args.method, sigma

@@ -31,19 +31,12 @@ import enum
 import math
 import sys
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import DomainError, SingularityError, ValidationError
 from .scattering import ScatteringProblem, _checked_sigma
 from .special_functions import (
-    SERIES_Z_MAX,
-    TWO_OVER_PI,
-    _j0_sum,
-    _k0_log,
-    _k0_sum,
-    _log_product,
-    _y0_given_j0,
-    _y0_log,
+    SERIES_Z_MAX, TWO_OVER_PI, _h0_sum, _k0_log, _k0_sum, _log_product, _y0_log
 )
 
 # 1/(2 pi) built from the shared 2/pi constant: the power-of-two scaling
@@ -116,10 +109,10 @@ class EpsilonSchedule(namedtuple("EpsilonSchedule", "eps_start factor count")):
         while scale * eps_start > SERIES_Z_MAX:
             eps_start *= 1e-1
         count = 5
-        cls(eps_start, factor, count)  # rejects a bad factor
+        schedule = cls(eps_start, factor, count)  # rejects a bad factor
         while count < 10_000 and scale * (eps_start * factor ** (count - 1)) > 7e-6:
             count += 1
-        return cls(eps_start=eps_start, factor=factor, count=count)
+        return schedule if count == 5 else cls(eps_start, factor, count)
 
 
 LimitEstimate = namedtuple(
@@ -133,53 +126,69 @@ order, and rtol the relative gap that converged was tested against.
 """
 
 
+def _sigma_trace(
+    problem: ScatteringProblem, epsilons: Iterable[float], mode: RegularizationMode
+) -> Iterator[tuple[float, float]]:
+    """(eps, sigma(eps)) per cutoff: one loop that reads problem and mode once."""
+    k, mu, e0 = problem.k, problem.bound_state_scale, problem.e0
+    full, truncated = mode is _FULL, mode is _TRUNCATED_LOG
+    z_max = _FLOAT_MAX if truncated else SERIES_Z_MAX
+    # ln(z/2) for the series and two-term forms, bare ln z for TRUNCATED_LOG.
+    c = 1.0 if truncated else 0.5
+    for eps in epsilons:
+        # The one domain check on this route; the kernels below check nothing.
+        z_mu, z_k = mu * eps, k * eps
+        if not (eps > 0.0 and z_mu <= z_max and z_k <= z_max):
+            raise DomainError(
+                f"at k={k!r}, e0={e0!r}, eps={eps!r} the cutoff must be positive "
+                f"with mu*eps = {z_mu!r} and k*eps = {z_k!r} both at most {z_max!r}"
+            )
+        log_mu, log_k = _log_product(mu, eps, c), _log_product(k, eps, c)
+        if full:
+            k0_value, (h0_real, h0_imag) = _k0_sum(z_mu, log_mu), _h0_sum(z_k, log_k)
+        elif mode is _ASYMPTOTIC:
+            k0_value, h0_real, h0_imag = _k0_log(log_mu), 1.0, _y0_log(log_k)
+        elif truncated:
+            # Bare logarithms only; no ln 2, no gamma, no real part of H0.
+            k0_value, h0_real, h0_imag = -log_mu, 0.0, TWO_OVER_PI * log_k
+        else:
+            raise ValidationError(f"unknown regularization mode: {mode!r}")
+        # bracket = K0/(2 pi) - (i/4) H0 = K0/(2 pi) + H0.imag/4 - i H0.real/4;
+        # sign flips and adding 0.0 are exact, so a resonant bracket still
+        # cancels to exactly zero.
+        bracket_re = _INV_TWO_PI * k0_value + 0.25 * h0_imag
+        bracket_im = -0.25 * h0_real
+        modulus_sq = bracket_re * bracket_re + bracket_im * bracket_im
+        if modulus_sq == 0.0 and truncated:
+            # The two bare logs can round equal off resonance (|ln x| up to
+            # about 4e-15); their exact difference -ln x vanishes only at it.
+            modulus_sq = (_INV_TWO_PI * problem.log_x) ** 2
+        if modulus_sq == 0.0:
+            raise SingularityError(
+                "the regularizing bracket vanished; sigma(eps) is undefined here"
+            )
+        yield eps, _checked_sigma(k, e0, 1.0, 4.0 * modulus_sq)
+
+
 def regularized_cross_section(
     problem: ScatteringProblem, eps: float, mode: RegularizationMode
 ) -> float:
-    """sigma(eps) at one finite cutoff, under the given evaluation mode.
+    """sigma(eps) at one cutoff: the one-cutoff case of limit_extrapolate's loop.
 
     DomainError, naming the input, unless eps > 0 and mu*eps and k*eps are
     at most the series bound 2 (in TRUNCATED_LOG, the largest double), or
     where sigma(eps) overflows.  A product that rounds to a subnormal or to
     0 is fine: _log_product takes its log as ln a + ln eps.
     """
-    # The one domain check on this route; the kernels below check nothing.
-    k, mu = problem.k, problem.bound_state_scale
-    z_mu, z_k = mu * eps, k * eps
-    z_max = _FLOAT_MAX if mode is _TRUNCATED_LOG else SERIES_Z_MAX
-    if not (eps > 0.0 and z_mu <= z_max and z_k <= z_max):
-        raise DomainError(
-            f"at k={k!r}, e0={problem.e0!r}, eps={eps!r} the cutoff must be positive "
-            f"with mu*eps = {z_mu!r} and k*eps = {z_k!r} both at most {z_max!r}"
-        )
-    # ln(z/2) for the series and two-term forms, bare ln z for TRUNCATED_LOG.
-    c = 1.0 if mode is _TRUNCATED_LOG else 0.5
-    log_mu, log_k = _log_product(mu, eps, c), _log_product(k, eps, c)
-    if mode is _FULL:
-        k0_value, h0_real = _k0_sum(z_mu, log_mu), _j0_sum(z_k)
-        h0_imag = _y0_given_j0(z_k, h0_real, log_k)
-    elif mode is _ASYMPTOTIC:
-        k0_value, h0_real, h0_imag = _k0_log(log_mu), 1.0, _y0_log(log_k)
-    elif mode is _TRUNCATED_LOG:
-        # Bare logarithms only; no ln 2, no gamma, no real part of H0.
-        k0_value, h0_real, h0_imag = -log_mu, 0.0, TWO_OVER_PI * log_k
-    else:
-        raise ValidationError(f"unknown regularization mode: {mode!r}")
-    # bracket = K0/(2 pi) - (i/4) H0 = K0/(2 pi) + H0.imag/4 - i H0.real/4;
-    # sign flips and adding 0.0 are exact, so a resonant bracket still
-    # cancels to exactly zero.
-    bracket_re = _INV_TWO_PI * k0_value + 0.25 * h0_imag
-    bracket_im = -0.25 * h0_real
-    modulus_sq = bracket_re * bracket_re + bracket_im * bracket_im
-    if modulus_sq == 0.0 and mode is _TRUNCATED_LOG:
-        # The two bare logs can round equal off resonance (|ln x| up to
-        # about 4e-15); their exact difference -ln x vanishes only at it.
-        modulus_sq = (_INV_TWO_PI * problem.log_x) ** 2
-    if modulus_sq == 0.0:
-        raise SingularityError(
-            "the regularizing bracket vanished; sigma(eps) is undefined here"
-        )
-    return _checked_sigma(k, problem.e0, 1.0, 4.0 * modulus_sq)
+    return next(_sigma_trace(problem, (eps,), mode))[1]
+
+
+def _estimate(samples: tuple[tuple[float, float], ...], factor: float) -> LimitEstimate:
+    """limit_extrapolate's stop test on the last two of samples."""
+    (_, sigma_prev), (_, sigma_last) = samples[-2:]
+    error = abs(sigma_last - sigma_prev)
+    rtol = _CONVERGENCE_RTOL * min(1.0, 2.0 * (1.0 - factor))
+    return LimitEstimate(sigma_last, error, samples, error <= rtol * abs(sigma_last), rtol)
 
 
 def limit_extrapolate(
@@ -187,23 +196,14 @@ def limit_extrapolate(
 ) -> LimitEstimate:
     """Evaluate sigma(eps) along the schedule and report the limit.
 
-    No extrapolation beyond the samples is attempted: the estimate is the
-    smallest-cutoff value, and convergence means the last two samples
-    agree to a relative 1e-8 * min(1, 2 (1 - factor)): samples falling as
-    eps^2 leave the last about gap/(1 - factor^2) from the limit.
+    Its sample loop is the one regularized_cross_section runs for a single
+    cutoff.  No extrapolation beyond the samples is attempted: the
+    estimate is the smallest-cutoff value, and convergence means the last
+    two samples agree to a relative 1e-8 * min(1, 2 (1 - factor)): samples
+    falling as eps^2 leave the last about gap/(1 - factor^2) from the limit.
     """
-    samples = tuple(
-        (eps, regularized_cross_section(problem, eps, mode))
-        for eps in schedule.epsilons()
-    )
-    (_, sigma_prev), (_, sigma_last) = samples[-2:]
-    error = abs(sigma_last - sigma_prev)
-    rtol = _CONVERGENCE_RTOL * min(1.0, 2.0 * (1.0 - schedule.factor))
-    converged = error <= rtol * abs(sigma_last)
-    return LimitEstimate(
-        sigma_limit=sigma_last, error_estimate=error, samples=samples,
-        converged=converged, rtol=rtol,
-    )
+    samples = tuple(_sigma_trace(problem, schedule.epsilons(), mode))
+    return _estimate(samples, schedule.factor)
 
 
 def mead_godines_wrong_limit(problem: ScatteringProblem) -> float:

@@ -8,7 +8,7 @@ full double accuracy; larger arguments raise DomainError rather than
 silently losing precision.  Stdlib only.
 
 Each public function checks z, then calls private kernels that check
-nothing: _j0_sum, _y0_given_j0 and _k0_sum need 0 <= z <= SERIES_Z_MAX.
+nothing: _j0_sum, _h0_sum (J0 and Y0) and _k0_sum need 0 <= z <= SERIES_Z_MAX.
 All but _j0_sum take ln(z/2) from the caller, as _log_product(a, eps, 0.5)
 for z = a*eps, which owns the rule for a product off the normal doubles.
 """
@@ -42,6 +42,7 @@ _MAX_TERMS = 60
 # term-by-term loop would sum it.
 _M_SQ = tuple(float(m * m) for m in range(1, _MAX_TERMS))
 _HARMONIC = tuple(itertools.accumulate(1.0 / m for m in range(1, _MAX_TERMS)))
+_TERMS = tuple(zip(_M_SQ, _HARMONIC))
 
 
 def _require_series_domain(z: float, name: str) -> None:
@@ -90,23 +91,29 @@ def bessel_y0(z: float) -> float:
     with h_m the m-th harmonic number.
     """
     _require_series_domain(z, "bessel_y0")
-    return _y0_given_j0(z, _j0_sum(z), _log_product(z, 1.0, 0.5))
+    return _h0_sum(z, _log_product(z, 1.0, 0.5))[1]
 
 
-def _y0_given_j0(z: float, j0: float, log_half: float) -> float:
-    """Y0(z) from an already summed J0(z) and ln(z/2)."""
+def _h0_sum(z: float, log_half: float) -> tuple[float, float]:
+    """(J0(z), Y0(z)) from one ladder of J0 terms: Y0's correction subtracts
+    h_m times each, which is exact, and each sum stops on its own test."""
     q = 0.25 * z * z
-    term = sign = 1.0
+    term = j0 = 1.0
     correction = 0.0
-    for m_sq, harmonic in zip(_M_SQ, _HARMONIC):
-        term *= q / m_sq
-        # Adding -(h_m term) is subtracting it, bit for bit.
-        correction += sign * (harmonic * term)
-        sign = -sign
-        # Once term underflows to 0.0, every later term adds 0.0.
-        if harmonic * term < _REL_FLOOR * abs(correction) or term == 0.0:
+    j0_open = y0_open = True
+    for m_sq, harmonic in _TERMS:
+        term *= -q / m_sq
+        if j0_open:
+            j0 += term
+            j0_open = abs(term) >= _REL_FLOOR * abs(j0)
+        if y0_open:
+            step = harmonic * term
+            correction -= step
+            # Once term underflows to 0.0, every later term adds 0.0.
+            y0_open = term != 0.0 and abs(step) >= _REL_FLOOR * abs(correction)
+        if not (j0_open or y0_open):
             break
-    return TWO_OVER_PI * ((log_half + EULER_GAMMA) * j0 + correction)
+    return j0, TWO_OVER_PI * ((log_half + EULER_GAMMA) * j0 + correction)
 
 
 def _y0_log(log_half: float) -> float:
@@ -127,7 +134,7 @@ def _k0_sum(z: float, log_half: float) -> float:
     # One term ladder serves both sums; i0 >= 1 dominates and stops it.
     term = i0 = 1.0
     correction = 0.0
-    for m_sq, harmonic in zip(_M_SQ, _HARMONIC):
+    for m_sq, harmonic in _TERMS:
         term *= q / m_sq
         i0 += term
         correction += harmonic * term
@@ -141,10 +148,9 @@ def _k0_log(log_half: float) -> float:
 
 
 def hankel1_0(z: float) -> complex:
-    """H0(z) = J0(z) + i Y0(z), with one J0 sum serving both components."""
+    """H0(z) = J0(z) + i Y0(z), with one term ladder serving both components."""
     _require_series_domain(z, "hankel1_0")
-    j0 = _j0_sum(z)
-    return complex(j0, _y0_given_j0(z, j0, _log_product(z, 1.0, 0.5)))
+    return complex(*_h0_sum(z, _log_product(z, 1.0, 0.5)))
 
 
 def k0_small_z(z: float) -> float:

@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import errno
+import gc
 import hashlib
 import io
 import math
@@ -296,6 +297,32 @@ class TestUnderflowedCutoffs:
         capsys.readouterr()
         assert code == EXIT_DOMAIN
         assert peak < 2**20
+
+    def test_limit_memory_is_flat_down_a_long_schedule(self, capsys):
+        # cross-section reads two samples, so it holds two, however many the
+        # schedule has; all 20 000 or 80 000 cutoffs here are sampled, and
+        # only the longer schedule meets the stop test.  A first short run
+        # fills the one-time caches (argparse's, re's) outside the trace, and
+        # collecting first keeps the parsers' cycles from freeing mid-trace.
+        head = [
+            "cross-section", "--k", "1", "--e0=-1", "--method", "limit",
+            "--eps-factor", "0.9999", "--eps-count",
+        ]
+        main(head + ["2"])
+        capsys.readouterr()
+        codes, peaks = [], []
+        for count in ("20000", "80000"):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                codes.append(main(head + [count]))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            capsys.readouterr()
+            peaks.append(peak)
+        assert codes == [EXIT_NO_CONVERGENCE, EXIT_OK]
+        assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0], peaks
 
 
 class TestNegativeExponentValues:

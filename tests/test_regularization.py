@@ -1,4 +1,7 @@
+import collections
+import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -12,7 +15,7 @@ from deltascatter.regularization import (
     mead_godines_wrong_limit,
     regularized_cross_section,
 )
-from deltascatter import special_functions
+from deltascatter import regularization, special_functions
 from deltascatter.scattering import ScatteringProblem, cross_section_closed
 from deltascatter.special_functions import (
     EULER_GAMMA,
@@ -139,13 +142,12 @@ class TestLimitEstimateType:
     def test_rejects_nondecreasing_eps(self, monkeypatch):
         sampled = []
 
-        def sample(problem, eps, mode):
-            sampled.append(eps)
+        def k0_sum(z, log_half):
+            sampled.append(z)
             return 1.0
 
-        monkeypatch.setattr(
-            "deltascatter.regularization.regularized_cross_section", sample
-        )
+        # Each FULL sample sums K0 once, at z = mu*eps = eps here.
+        monkeypatch.setattr("deltascatter.regularization._k0_sum", k0_sum)
         schedule = EpsilonSchedule(eps_start=5e-324, factor=0.9, count=3)
         with pytest.raises(ValidationError, match="^factor "):
             limit_extrapolate(problem_at(1.0, 0.0), schedule, RegularizationMode.FULL)
@@ -365,6 +367,40 @@ class TestLimitExtrapolate:
             kernel(0.5)
         assert calls == ["bessel_k0", "hankel1_0", "k0_small_z", "hankel1_0_small_z"]
 
+    def test_full_samples_run_one_ladder_each(self, monkeypatch):
+        # Each FULL sample sums the K0 ladder and the shared J0/Y0 ladder
+        # once, and no sample goes back through a public function.
+        calls = collections.Counter()
+
+        def counted(name, kernel):
+            def call(*args):
+                calls[name] += 1
+                return kernel(*args)
+            return call
+
+        def public(*args):
+            raise AssertionError("a sample went through a public function")
+
+        for name in ("_k0_sum", "_h0_sum"):
+            kernel = getattr(regularization, name)
+            monkeypatch.setattr(regularization, name, counted(name, kernel))
+        monkeypatch.setattr(regularization, "regularized_cross_section", public)
+        for module in (special_functions, regularization):
+            for name in (
+                "bessel_j0", "bessel_y0", "bessel_k0", "hankel1_0",
+                "k0_small_z", "hankel1_0_small_z",
+            ):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, public)
+        samples = 0
+        for k, e0 in [(1.0, -2.5), (1e-5, -1e4), (3e250, -1e-250)]:
+            problem = ScatteringProblem(k=k, e0=e0)
+            schedule = EpsilonSchedule.default_for(problem)
+            estimate = limit_extrapolate(problem, schedule, RegularizationMode.FULL)
+            assert len(estimate.samples) == schedule.count
+            samples += schedule.count
+        assert calls == {"_k0_sum": samples, "_h0_sum": samples}
+
     def test_full_mode_reference_case(self):
         estimate = limit_extrapolate(
             problem_at(1.0, 0.0),
@@ -473,6 +509,57 @@ class TestLimitExtrapolate:
             errors = [abs(sigma - closed) for _, sigma in estimate.samples]
             for larger, smaller in zip(errors, errors[1:]):
                 assert smaller < larger
+
+
+# Cutoffs for the limit route's fingerprint: bad ones, subnormal ones, and
+# ones whose products leave the series domain for large k or mu.
+FINGERPRINT_CUTOFFS = (
+    0.0, -1.0, math.nan, math.inf, 5e-324, 1e-310, 1e-200, 1e-8, 1e-3, 1.0
+)
+
+
+def _outcome(function, *args):
+    """A result as text: floats as .hex(), a LimitEstimate field by field,
+    an error as its type and message."""
+    try:
+        result = function(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(result, float):
+        return result.hex()
+    samples = " ".join(f"{eps.hex()},{sigma.hex()}" for eps, sigma in result.samples)
+    return (
+        f"{result.sigma_limit.hex()} {result.error_estimate.hex()} "
+        f"{result.converged} {result.rtol.hex()} [{samples}]"
+    )
+
+
+LIMIT_ROUTE_SHA256 = "ad4fb0d0e95b8bd1407c1dc0e638c7e6d5422e36b8897e449e8c7e761a22741b"
+
+
+def test_limit_route_fingerprint():
+    """Every sample, limit and error text of the limit route over 1 200
+    seeded problems in all three modes, bit for bit as the route gave them
+    when each sample was one regularized_cross_section call."""
+    rng = random.Random(17)
+
+    def draw(low, high):
+        return math.exp(rng.uniform(math.log(low), math.log(high)))
+
+    scales = [(draw(1e-3, 1e3), draw(1e-3, 1e3)) for _ in range(600)]
+    scales += [(draw(1e-300, 1e300), draw(1e-150, 1e150)) for _ in range(600)]
+    digest = hashlib.sha256()
+    for k, mu in scales:
+        problem = ScatteringProblem(k=k, e0=-mu * mu)
+        schedule = EpsilonSchedule.default_for(problem)
+        for mode in RegularizationMode:
+            lines = [_outcome(limit_extrapolate, problem, schedule, mode)]
+            lines += [
+                _outcome(regularized_cross_section, problem, eps, mode)
+                for eps in FINGERPRINT_CUTOFFS
+            ]
+            digest.update("\n".join([repr(problem), mode.value, *lines, ""]).encode())
+    assert digest.hexdigest() == LIMIT_ROUTE_SHA256
 
 
 class TestWrongLimit:
