@@ -23,12 +23,11 @@ import math
 import os
 import re
 import sys
-from collections import deque
 from collections.abc import Iterable, Iterator
 
 from .errors import DomainError, SingularityError, ValidationError
 from .regularization import (
-    EpsilonSchedule, LimitEstimate, RegularizationMode, _estimate, _sigma_trace
+    EpsilonSchedule, LimitEstimate, RegularizationMode, _limit_estimate
 )
 from .scattering import (
     ScatteringProblem,
@@ -74,8 +73,7 @@ def _limit(
         schedule = EpsilonSchedule(args.eps_start, args.eps_factor, 5)
     if args.eps_count is not None:
         schedule = schedule._replace(count=args.eps_count)
-    trace = _sigma_trace(problem, schedule.epsilons(), RegularizationMode(args.mode))
-    return _estimate(tuple(deque(trace, keep)), schedule.factor)
+    return _limit_estimate(problem, schedule, RegularizationMode(args.mode), keep)
 
 
 def run_cross_section(

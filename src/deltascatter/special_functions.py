@@ -8,9 +8,9 @@ full double accuracy; larger arguments raise DomainError rather than
 silently losing precision.  Stdlib only.
 
 Each public function checks z, then calls private kernels that check
-nothing: _j0_sum, _h0_sum (J0 and Y0) and _k0_sum need 0 <= z <= SERIES_Z_MAX.
-All but _j0_sum take ln(z/2) from the caller, as _log_product(a, eps, 0.5)
-for z = a*eps, which owns the rule for a product off the normal doubles.
+nothing: _h0_sum (J0 and Y0) and _k0_sum need 0 <= z <= SERIES_Z_MAX.
+They take ln(z/2) from the caller, as _log_product(a, eps, 0.5) for
+z = a*eps, which owns the rule for a product off the normal doubles.
 """
 
 from __future__ import annotations
@@ -68,18 +68,8 @@ def _log_product(a: float, b: float, c: float) -> float:
 def bessel_j0(z: float) -> float:
     """J0 by its ascending series sum_m (-1)^m (z^2/4)^m / (m!)^2."""
     _require_series_domain(z, "bessel_j0")
-    return _j0_sum(z)
-
-
-def _j0_sum(z: float) -> float:
-    q = 0.25 * z * z
-    term = total = 1.0
-    for m_sq in _M_SQ:
-        term *= -q / m_sq
-        total += term
-        if abs(term) < _REL_FLOOR * abs(total):
-            break
-    return total
+    # J0 does not read ln(z/2); only the Y0 half of the pair does.
+    return _h0_sum(z, 0.0)[0]
 
 
 def bessel_y0(z: float) -> float:
