@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import math
 import os
 import re
@@ -94,19 +95,17 @@ def run_cross_section(
     return ["k,e0,x,ln_x,method,sigma\n", record], estimate
 
 
-def run_limit_study(args: argparse.Namespace) -> tuple[list[str], LimitEstimate]:
+def run_limit_study(args: argparse.Namespace) -> tuple[Iterator[str], LimitEstimate]:
+    """The trace, formatted as it is written; every error comes before it."""
     problem = ScatteringProblem(k=args.k, e0=args.e0)
     estimate = _limit(args, problem)
     sigma_closed = cross_section_closed(problem).sigma
-    lines = ["eps,sigma_eps,abs_err_vs_closed\n"]
-    for eps, sigma_eps in estimate.samples:
-        lines.append(
-            "%#.15g,%#.15g,%#.15g\n" % (eps, sigma_eps, abs(sigma_eps - sigma_closed))
-        )
-    lines.append(
-        "limit,%#.15g,%#.15g\n" % (estimate.sigma_limit, estimate.error_estimate)
+    rows = (
+        "%#.15g,%#.15g,%#.15g\n" % (eps, sigma_eps, abs(sigma_eps - sigma_closed))
+        for eps, sigma_eps in estimate.samples
     )
-    return lines, estimate
+    limit = "limit,%#.15g,%#.15g\n" % (estimate.sigma_limit, estimate.error_estimate)
+    return itertools.chain(["eps,sigma_eps,abs_err_vs_closed\n"], rows, [limit]), estimate
 
 
 def _geometric_grid(k_min: float, k_max: float, points: int) -> Iterator[float]:

@@ -81,9 +81,9 @@ class EpsilonSchedule(namedtuple("EpsilonSchedule", "eps_start factor count")):
         Cutoffs that round equal trace a plateau that only looks converged,
         so the first positive one not below the last raises ValidationError.
         """
-        previous = math.inf
+        eps_start, factor, previous = self.eps_start, self.factor, math.inf
         for i in range(self.count):
-            eps = self.eps_start * self.factor**i
+            eps = eps_start * factor**i
             if eps >= previous and eps > 0.0:
                 raise ValidationError(
                     f"factor must shrink every cutoff, but cutoff {i + 1}, "

@@ -143,14 +143,12 @@ def s_wave_phase_shift(problem: ScatteringProblem) -> PhaseShift:
 def sin_sq_from_tan(tan_value: float) -> float:
     """sin^2 from a tangent via sin^2 = t^2/(1 + t^2), overflow-safe.
 
-    math.inf (either sign) is the marker for an infinite tangent and maps
-    to exactly 1.0.  For |t| > 1 the reciprocal form 1/(1 + 1/t^2) avoids
-    overflowing t^2 prematurely.
+    For |t| > 1 the reciprocal form 1/(1 + 1/t^2) avoids overflowing t^2
+    prematurely, and maps math.inf (either sign), the marker for an
+    infinite tangent, to exactly 1.0.
     """
     if math.isnan(tan_value):
         raise ValidationError("tan_value must not be NaN")
-    if math.isinf(tan_value):
-        return 1.0
     t_sq = tan_value * tan_value
     if t_sq > 1.0:
         return 1.0 / (1.0 + 1.0 / t_sq)

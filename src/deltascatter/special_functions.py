@@ -9,6 +9,8 @@ silently losing precision.  Stdlib only.
 
 Each public function checks z, then calls private kernels that check
 nothing: _h0_sum (J0 and Y0) and _k0_sum need 0 <= z <= SERIES_Z_MAX.
+Both, and bessel_j0, read one term ladder, _ladder: q^m/(m!)^2 summed
+with and without the harmonic weights h_m, at q = -z^2/4 or z^2/4.
 They take ln(z/2) from the caller, as _log_product(a, eps, 0.5) for
 z = a*eps, which owns the rule for a product off the normal doubles.
 """
@@ -68,8 +70,7 @@ def _log_product(a: float, b: float, c: float) -> float:
 def bessel_j0(z: float) -> float:
     """J0 by its ascending series sum_m (-1)^m (z^2/4)^m / (m!)^2."""
     _require_series_domain(z, "bessel_j0")
-    # J0 does not read ln(z/2); only the Y0 half of the pair does.
-    return _h0_sum(z, 0.0)[0]
+    return _ladder(-0.25 * z * z)[0]
 
 
 def bessel_y0(z: float) -> float:
@@ -84,26 +85,26 @@ def bessel_y0(z: float) -> float:
     return _h0_sum(z, _log_product(z, 1.0, 0.5))[1]
 
 
-def _h0_sum(z: float, log_half: float) -> tuple[float, float]:
-    """(J0(z), Y0(z)) from one ladder of J0 terms: Y0's correction subtracts
-    h_m times each, which is exact, and each sum stops on its own test."""
-    q = 0.25 * z * z
-    term = j0 = 1.0
-    correction = 0.0
-    j0_open = y0_open = True
+def _ladder(q: float) -> tuple[float, float]:
+    """(sum_m t_m, sum_{m>=1} h_m t_m) for t_m = q^m/(m!)^2, |q| <= 1, both
+    stopped by the first sum's test.  That sum, J0 or I0, is at least 0.2239
+    for z <= 2, and past m = 1 each term is at most 3/8 of the one before, so
+    later terms lie below half an ulp of it; the second sum keeps every bit
+    a test of its own gave it (tests/test_special_functions.py)."""
+    term, total, weighted = 1.0, 1.0, 0.0
     for m_sq, harmonic in _TERMS:
-        term *= -q / m_sq
-        if j0_open:
-            j0 += term
-            j0_open = abs(term) >= _REL_FLOOR * abs(j0)
-        if y0_open:
-            step = harmonic * term
-            correction -= step
-            # Once term underflows to 0.0, every later term adds 0.0.
-            y0_open = term != 0.0 and abs(step) >= _REL_FLOOR * abs(correction)
-        if not (j0_open or y0_open):
+        term *= q / m_sq
+        total += term
+        weighted += harmonic * term
+        if abs(term) < _REL_FLOOR * abs(total):
             break
-    return j0, TWO_OVER_PI * ((log_half + EULER_GAMMA) * j0 + correction)
+    return total, weighted
+
+
+def _h0_sum(z: float, log_half: float) -> tuple[float, float]:
+    """(J0(z), Y0(z)) from one ladder: Y0 subtracts the harmonic-weighted sum."""
+    j0, correction = _ladder(-0.25 * z * z)
+    return j0, TWO_OVER_PI * ((log_half + EULER_GAMMA) * j0 - correction)
 
 
 def _y0_log(log_half: float) -> float:
@@ -120,16 +121,7 @@ def bessel_k0(z: float) -> float:
 
 
 def _k0_sum(z: float, log_half: float) -> float:
-    q = 0.25 * z * z
-    # One term ladder serves both sums; i0 >= 1 dominates and stops it.
-    term = i0 = 1.0
-    correction = 0.0
-    for m_sq, harmonic in _TERMS:
-        term *= q / m_sq
-        i0 += term
-        correction += harmonic * term
-        if term < _REL_FLOOR * i0:
-            break
+    i0, correction = _ladder(0.25 * z * z)
     return -(log_half + EULER_GAMMA) * i0 + correction
 
 

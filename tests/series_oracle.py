@@ -7,6 +7,12 @@ the series definitions themselves.
 
 Run as a script to print a comparison table against mpmath's own Bessel
 routines (a sanity check that the series are transcribed correctly).
+
+h0_ladders and k0_ladder are the exception: double-precision loops, each
+sum stopped by its own test, that the library's kernels ran before they
+shared one ladder stopped by the leading sum's test alone.  They read the
+library's term tables and constants, so only the stopping rule differs,
+and the library's _h0_sum and _k0_sum must match them bit for bit.
 """
 
 from mpmath import mp, mpf
@@ -83,6 +89,48 @@ def k0_series(z):
 def hankel1_0_series(z):
     """H0^(1)(z) = J0(z) + i Y0(z), returned as an (re, im) pair."""
     return j0_series(z), y0_series(z)
+
+
+def h0_ladders(z, log_half):
+    """(J0(z), Y0(z)) in doubles, J0 and Y0's correction each stopped by
+    their own test."""
+    from deltascatter.special_functions import (
+        _REL_FLOOR, _TERMS, EULER_GAMMA, TWO_OVER_PI
+    )
+
+    q = 0.25 * z * z
+    term = j0 = 1.0
+    correction = 0.0
+    j0_open = y0_open = True
+    for m_sq, harmonic in _TERMS:
+        term *= -q / m_sq
+        if j0_open:
+            j0 += term
+            j0_open = abs(term) >= _REL_FLOOR * abs(j0)
+        if y0_open:
+            step = harmonic * term
+            correction -= step
+            y0_open = term != 0.0 and abs(step) >= _REL_FLOOR * abs(correction)
+        if not (j0_open or y0_open):
+            break
+    return j0, TWO_OVER_PI * ((log_half + EULER_GAMMA) * j0 + correction)
+
+
+def k0_ladder(z, log_half):
+    """K0(z) in doubles from the I0 sum and its harmonic companion, stopped
+    by the I0 test."""
+    from deltascatter.special_functions import _REL_FLOOR, _TERMS, EULER_GAMMA
+
+    q = 0.25 * z * z
+    term = i0 = 1.0
+    correction = 0.0
+    for m_sq, harmonic in _TERMS:
+        term *= q / m_sq
+        i0 += term
+        correction += harmonic * term
+        if term < _REL_FLOOR * i0:
+            break
+    return -(log_half + EULER_GAMMA) * i0 + correction
 
 
 def main():

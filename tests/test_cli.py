@@ -8,6 +8,7 @@ import math
 import os
 import pathlib
 import random
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from deltascatter import cli
 from deltascatter.cli import (
     _SWEEP_ROW,
     EXIT_DOMAIN,
@@ -475,6 +477,28 @@ class TestLimitStudy:
         assert code == EXIT_VALIDATION
         assert "--eps-count" in err
 
+    def test_rows_hold_no_copy_of_the_samples(self):
+        # Rows are formatted as they are written, so what grows with the
+        # schedule is the estimate's one tuple of samples, about 113 B a
+        # cutoff; a list of every formatted row besides took about 230 B.
+        head = [
+            "limit-study", "--k", "1", "--e0=-1", "--eps-factor", "0.9999",
+            "--output", os.devnull, "--eps-count",
+        ]
+        main(head + ["2"])
+        codes, peaks = [], []
+        for count in (20_000, 80_000):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                codes.append(main(head + [str(count)]))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert codes == [EXIT_NO_CONVERGENCE, EXIT_OK]
+        assert (peaks[1] - peaks[0]) / 60_000 < 150, peaks
+
 
 class TestSweep:
     def test_resonance_row(self, capsys):
@@ -605,6 +629,54 @@ class TestOutputPlumbing:
         )
         assert result.returncode == EXIT_OK
         assert result.stdout == out
+
+
+def other_cpythons():
+    """Each CPython >= 3.10, other than the one running, that starts as one
+    of python3.10 .. python3.13 on PATH (a pyenv shim with no version set
+    does not start)."""
+    probe = (
+        "import os, sys; print(sys.implementation.name == 'cpython' "
+        "and sys.version_info >= (3, 10)); print(os.path.realpath(sys.executable))"
+    )
+    own, found = os.path.realpath(sys.executable), {}
+    for minor in range(10, 14):
+        exe = shutil.which(f"python3.{minor}")
+        if exe is None:
+            continue
+        try:
+            result = subprocess.run(
+                [exe, "-c", probe], capture_output=True, text=True, timeout=60
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        usable, _, path = result.stdout.partition("\n")
+        path = path.rstrip("\n")
+        if result.returncode == 0 and usable == "True" and path != own:
+            found.setdefault(path, exe)
+    return list(found.values())
+
+
+def test_pinned_outputs_under_other_cpythons():
+    # The package promises stdlib only and requires-python >= 3.10, and
+    # _Parser reaches into argparse, whose negative-number rule changed in
+    # 3.13: every pinned table must come out the same under each version.
+    interpreters = other_cpythons()
+    if not interpreters:
+        pytest.skip("no other CPython >= 3.10 starts from PATH")
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    failures = []
+    for exe in interpreters:
+        for argv, code, digest in PINNED_OUTPUTS:
+            result = subprocess.run(
+                [exe, "-m", "deltascatter", *argv.split()],
+                capture_output=True, env=env, timeout=120,
+            )
+            actual = (result.returncode, hashlib.sha256(result.stdout).hexdigest())
+            if actual != (code, digest):
+                failures.append((exe, argv, actual[0], result.stderr[-200:]))
+    assert failures == []
 
 
 class FailingStringIO(io.StringIO):

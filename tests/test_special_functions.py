@@ -20,7 +20,7 @@ from deltascatter.special_functions import (
     hankel1_0_small_z,
     k0_small_z,
 )
-from series_oracle import j0_series, k0_series, y0_series
+from series_oracle import h0_ladders, j0_series, k0_ladder, k0_series, y0_series
 
 # Frozen from tests/series_oracle.py at 50 digits, rounded to doubles.
 J0_KNOWN = {0.5: 0.9384698072408129, 1.0: 0.7651976865579666, 2.0: 0.22389077914123567}
@@ -337,3 +337,28 @@ def test_kernels_fingerprint():
         values = (bessel_j0(z), bessel_y0(z), bessel_k0(z), h.real, h.imag)
         digest.update(" ".join(v.hex() for v in values).encode() + b"\n")
     assert digest.hexdigest() == KERNELS_SHA256
+
+
+def test_one_ladder_matches_a_test_per_sum():
+    """_h0_sum, _k0_sum and bessel_j0, which stop J0's or I0's ladder on
+    its leading sum's test alone, bit for bit against loops that stop each
+    sum on its own test: on 100 000 seeded uniform z in [0, 2], where the
+    ladders run longest, 100 000 log-uniform z in [1e-320, 2], 10 000
+    subnormals, and 0 and 2."""
+    rng = random.Random(18)
+    log_low, log_high = math.log(1e-320), math.log(2.0)
+    zs = [rng.uniform(0.0, 2.0) for _ in range(100_000)]
+    zs += [min(2.0, math.exp(rng.uniform(log_low, log_high))) for _ in range(100_000)]
+    zs += [math.ldexp(rng.randrange(1, 2**52), -1074) for _ in range(10_000)]
+    zs += [0.0, 5e-324, sys.float_info.min, 2.0]
+    mismatches = []
+    for z in zs:
+        log_half = special_functions._log_product(z, 1.0, 0.5) if z > 0.0 else 0.0
+        j0, y0 = special_functions._h0_sum(z, log_half)
+        ref_j0, ref_y0 = h0_ladders(z, log_half)
+        k0, ref_k0 = special_functions._k0_sum(z, log_half), k0_ladder(z, log_half)
+        if (j0.hex(), y0.hex(), k0.hex()) != (ref_j0.hex(), ref_y0.hex(), ref_k0.hex()):
+            mismatches.append(z)
+        elif z > 0.0 and bessel_j0(z).hex() != ref_j0.hex():
+            mismatches.append(z)
+    assert mismatches == []
