@@ -189,35 +189,26 @@ _SUBCOMMANDS = {
 }
 
 
-# What argparse from Python 3.13 on takes for the start of a negative number.
+# argparse's own negative-number rule takes no exponent (checked on CPython
+# 3.10.13, 3.11.7, 3.12.1, 3.13.0 and 3.13.13), so "--e0 -2.5e-3" would fail.
+# No flag here starts like a number: every parser, the root one included,
+# reads anything that does as a value.
 _NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 
-class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that reads "-2.5e-3" as a value, not as a flag.
-
-    Before Python 3.13 argparse only recognises negative numbers without an
-    exponent, so "--e0 -2.5e-3" failed with "expected one argument".  No
-    flag here starts like a number, so anything that does is a value.
-    Subparsers inherit the parser class, and with it this rule.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_NUMBER
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="deltascatter",
         description=(
             "Total cross section for scattering from an attractive point "
             "interaction in two dimensions (hbar = 2m = 1 units)."
         ),
     )
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
     for name, (summary, run, flags) in _SUBCOMMANDS.items():
         sub = subparsers.add_parser(name, help=summary)
+        sub._negative_number_matcher = _NEGATIVE_NUMBER
         sub.set_defaults(run=run)
         for flag in flags.split():
             sub.add_argument(flag, **_ARGUMENTS[flag])
@@ -274,7 +265,3 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     sys.stderr.write("warning: limit did not converge to relative %g\n" % estimate.rtol)
     return EXIT_NO_CONVERGENCE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -327,20 +327,29 @@ class TestUnderflowedCutoffs:
         assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0], peaks
 
 
+# The argv of each subcommand that --e0 completes, in TestNegativeExponentValues
+# and test_space_form_under_other_cpythons.
+E0_HEADS = [
+    ["cross-section", "--k", "1"],
+    ["limit-study", "--k", "1"],
+    ["sweep", "--k-min", "0.01", "--k-max", "1", "--points", "4"],
+]
+
+
 class TestNegativeExponentValues:
-    @pytest.mark.parametrize(
-        "head",
-        [
-            ["cross-section", "--k", "1"],
-            ["limit-study", "--k", "1"],
-            ["sweep", "--k-min", "0.01", "--k-max", "1", "--points", "4"],
-        ],
-    )
+    @pytest.mark.parametrize("head", E0_HEADS)
     def test_space_form_matches_equals_form(self, capsys, head):
         code_eq, out_eq, _ = run_cli(capsys, head + ["--e0=-2.5e-3"])
         code_sp, out_sp, err_sp = run_cli(capsys, head + ["--e0", "-2.5e-3"])
         assert code_eq == EXIT_OK
         assert (code_sp, out_sp, err_sp) == (code_eq, out_eq, "")
+
+    def test_root_parser_reads_a_number_as_a_subcommand(self, capsys):
+        # Without the rule on the root parser too, argparse takes "-2.5e-3"
+        # for a flag there and blames the missing subcommand instead.
+        code, out, err = run_cli(capsys, ["-2.5e-3"])
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert "error: argument subcommand: invalid choice: '-2.5e-3'" in err.splitlines()[-1]
 
 
 class TestLimitStudy:
@@ -657,25 +666,54 @@ def other_cpythons():
     return list(found.values())
 
 
-def test_pinned_outputs_under_other_cpythons():
-    # The package promises stdlib only and requires-python >= 3.10, and
-    # _Parser reaches into argparse, whose negative-number rule changed in
-    # 3.13: every pinned table must come out the same under each version.
+def run_children(argvs):
+    """(interpreter, argv, exit code, stdout, stderr) of each argv as a
+    python -m deltascatter child of each other CPython; skips when none
+    starts."""
     interpreters = other_cpythons()
     if not interpreters:
         pytest.skip("no other CPython >= 3.10 starts from PATH")
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    failures = []
+    runs = []
     for exe in interpreters:
-        for argv, code, digest in PINNED_OUTPUTS:
+        for argv in argvs:
             result = subprocess.run(
-                [exe, "-m", "deltascatter", *argv.split()],
-                capture_output=True, env=env, timeout=120,
+                [exe, "-m", "deltascatter", *argv], capture_output=True, env=env, timeout=120
             )
-            actual = (result.returncode, hashlib.sha256(result.stdout).hexdigest())
-            if actual != (code, digest):
-                failures.append((exe, argv, actual[0], result.stderr[-200:]))
+            runs.append((exe, argv, result.returncode, result.stdout, result.stderr))
+    return runs
+
+
+def test_pinned_outputs_under_other_cpythons():
+    # The package promises stdlib only and requires-python >= 3.10: every
+    # pinned table must come out the same under each version.
+    expected = {tuple(argv.split()): (code, digest) for argv, code, digest in PINNED_OUTPUTS}
+    failures = [
+        (exe, argv, code, err[-200:])
+        for exe, argv, code, out, err in run_children(list(expected))
+        if (code, hashlib.sha256(out).hexdigest()) != expected[argv]
+    ]
+    assert failures == []
+
+
+def test_space_form_under_other_cpythons():
+    # build_parser sets _negative_number_matcher, a private argparse
+    # attribute, so a new Python is where the space form would break first.
+    argvs = [("-2.5e-3",)] + [tuple(head + form) for head in E0_HEADS
+                              for form in (["--e0=-2.5e-3"], ["--e0", "-2.5e-3"])]
+    runs = {(exe, argv): (code, out, err) for exe, argv, code, out, err in run_children(argvs)}
+    failures = []
+    for exe in {exe for exe, _ in runs}:
+        code, out, err = runs[exe, ("-2.5e-3",)]
+        blamed = b"error: argument subcommand: invalid choice: '-2.5e-3'" in err.splitlines()[-1]
+        if (code, out, blamed) != (EXIT_VALIDATION, b"", True):
+            failures.append((exe, "-2.5e-3", code, err[-200:]))
+        for head in E0_HEADS:
+            code, out, _ = runs[exe, tuple(head + ["--e0=-2.5e-3"])]
+            space_form = runs[exe, tuple(head + ["--e0", "-2.5e-3"])]
+            if code != EXIT_OK or space_form != (code, out, b""):
+                failures.append((exe, head, code, space_form[0], space_form[2][-200:]))
     assert failures == []
 
 

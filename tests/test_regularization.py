@@ -169,6 +169,15 @@ class TestRegularizedCrossSection:
         with pytest.raises(DomainError):
             regularized_cross_section(problem_at(1.0, 0.0), eps, RegularizationMode.FULL)
 
+    def test_unknown_mode_rejected(self):
+        # A mode is a RegularizationMode member; not its value, not None.
+        problem = problem_at(1.0, 0.5)
+        schedule = EpsilonSchedule.default_for(problem)
+        with pytest.raises(ValidationError, match=r"^unknown regularization mode: 'full'$"):
+            limit_extrapolate(problem, schedule, "full")
+        with pytest.raises(ValidationError, match=r"^unknown regularization mode: None$"):
+            regularized_cross_section(problem, 1e-3, None)
+
     @pytest.mark.parametrize("mode", list(RegularizationMode))
     def test_underflowed_cutoff_names_the_input(self, mode):
         # mu*eps = 1e-451 underflows to 0, but its log, ln mu + ln eps, is
