@@ -12,7 +12,9 @@ that cannot be opened or written, 3 limit did not converge,
 singular points where an expression has no finite value, and a cross
 section beyond the largest double).  sweep writes rows from the closed-form
 kernels as they are computed; an error part way through keeps the rows
-already written.
+already written.  limit-study samples its schedule twice in flat memory:
+once for the estimate and every error, before the first byte, and once
+more for the rows as they are written.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ import math
 import os
 import re
 import sys
-from collections.abc import Iterable, Iterator
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator
 
 from .errors import DomainError, SingularityError, ValidationError
 from .regularization import (
-    EpsilonSchedule, LimitEstimate, RegularizationMode, _limit_estimate
+    EpsilonSchedule, LimitEstimate, RegularizationMode, _fold_limit, _sigma_trace
 )
 from .scattering import (
     ScatteringProblem,
@@ -59,10 +62,10 @@ _FLAGS = {
 
 
 def _limit(
-    args: argparse.Namespace, problem: ScatteringProblem, keep: int | None = None
-) -> LimitEstimate:
-    """limit_extrapolate's estimate down the schedule the flags ask for; its
-    samples are the last keep (None: all), so memory need not grow with them.
+    args: argparse.Namespace, problem: ScatteringProblem
+) -> tuple[LimitEstimate, Callable[[], Iterator[tuple[float, float]]]]:
+    """limit_extrapolate's estimate down the schedule the flags ask for, folded
+    from its last two samples, and a callable that traces that schedule again.
 
     Without --eps-start the schedule is default_for's at --eps-factor; with
     it the count is 5, since default_for's count belongs to its own start.
@@ -74,7 +77,9 @@ def _limit(
         schedule = EpsilonSchedule(args.eps_start, args.eps_factor, 5)
     if args.eps_count is not None:
         schedule = schedule._replace(count=args.eps_count)
-    return _limit_estimate(problem, schedule, RegularizationMode(args.mode), keep)
+    mode = RegularizationMode(args.mode)
+    trace = lambda: _sigma_trace(problem, schedule.epsilons(), mode)
+    return _fold_limit(tuple(deque(trace(), 2)), schedule.factor), trace
 
 
 def run_cross_section(
@@ -87,7 +92,7 @@ def run_cross_section(
     elif args.method == "partial-wave":
         sigma = cross_section_partial_wave(problem).sigma
     else:
-        estimate = _limit(args, problem, keep=2)
+        estimate, _ = _limit(args, problem)
         sigma = estimate.sigma_limit
     record = "%#.15g,%#.15g,%#.15g,%#.15g,%s,%#.15g\n" % (
         problem.k, problem.e0, problem.x, problem.log_x, args.method, sigma
@@ -96,13 +101,14 @@ def run_cross_section(
 
 
 def run_limit_study(args: argparse.Namespace) -> tuple[Iterator[str], LimitEstimate]:
-    """The trace, formatted as it is written; every error comes before it."""
+    """The trace, sampled again as its rows are written: the first pass has
+    raised every error and settled the estimate before the first byte."""
     problem = ScatteringProblem(k=args.k, e0=args.e0)
-    estimate = _limit(args, problem)
+    estimate, trace = _limit(args, problem)
     sigma_closed = cross_section_closed(problem).sigma
     rows = (
         "%#.15g,%#.15g,%#.15g\n" % (eps, sigma_eps, abs(sigma_eps - sigma_closed))
-        for eps, sigma_eps in estimate.samples
+        for eps, sigma_eps in trace()
     )
     limit = "limit,%#.15g,%#.15g\n" % (estimate.sigma_limit, estimate.error_estimate)
     return itertools.chain(["eps,sigma_eps,abs_err_vs_closed\n"], rows, [limit]), estimate

@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from collections import deque, namedtuple
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
 from .errors import DomainError, SingularityError, ValidationError
@@ -183,19 +183,12 @@ def regularized_cross_section(
     return next(_sigma_trace(problem, (eps,), mode))[1]
 
 
-def _limit_estimate(
-    problem: ScatteringProblem,
-    schedule: EpsilonSchedule,
-    mode: RegularizationMode,
-    keep: int | None = None,
-) -> LimitEstimate:
-    """limit_extrapolate, holding only the last keep samples (None: all), so
-    a caller that reads only the estimate needs no memory per cutoff."""
-    trace = _sigma_trace(problem, schedule.epsilons(), mode)
-    samples = tuple(trace if keep is None else deque(trace, keep))
+def _fold_limit(samples: tuple[tuple[float, float], ...], factor: float) -> LimitEstimate:
+    """The stop test over (eps, sigma) samples, of which it reads the last
+    two, so a caller that holds only those needs no memory per cutoff."""
     (_, sigma_prev), (_, sigma_last) = samples[-2:]
     error = abs(sigma_last - sigma_prev)
-    rtol = _CONVERGENCE_RTOL * min(1.0, 2.0 * (1.0 - schedule.factor))
+    rtol = _CONVERGENCE_RTOL * min(1.0, 2.0 * (1.0 - factor))
     return LimitEstimate(sigma_last, error, samples, error <= rtol * abs(sigma_last), rtol)
 
 
@@ -210,7 +203,8 @@ def limit_extrapolate(
     two samples agree to a relative 1e-8 * min(1, 2 (1 - factor)): samples
     falling as eps^2 leave the last about gap/(1 - factor^2) from the limit.
     """
-    return _limit_estimate(problem, schedule, mode)
+    trace = _sigma_trace(problem, schedule.epsilons(), mode)
+    return _fold_limit(tuple(trace), schedule.factor)
 
 
 def mead_godines_wrong_limit(problem: ScatteringProblem) -> float:

@@ -4,6 +4,7 @@ import errno
 import gc
 import hashlib
 import io
+import itertools
 import math
 import os
 import pathlib
@@ -300,32 +301,6 @@ class TestUnderflowedCutoffs:
         assert code == EXIT_DOMAIN
         assert peak < 2**20
 
-    def test_limit_memory_is_flat_down_a_long_schedule(self, capsys):
-        # cross-section reads two samples, so it holds two, however many the
-        # schedule has; all 20 000 or 80 000 cutoffs here are sampled, and
-        # only the longer schedule meets the stop test.  A first short run
-        # fills the one-time caches (argparse's, re's) outside the trace, and
-        # collecting first keeps the parsers' cycles from freeing mid-trace.
-        head = [
-            "cross-section", "--k", "1", "--e0=-1", "--method", "limit",
-            "--eps-factor", "0.9999", "--eps-count",
-        ]
-        main(head + ["2"])
-        capsys.readouterr()
-        codes, peaks = [], []
-        for count in ("20000", "80000"):
-            gc.collect()
-            tracemalloc.start()
-            try:
-                codes.append(main(head + [count]))
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            capsys.readouterr()
-            peaks.append(peak)
-        assert codes == [EXIT_NO_CONVERGENCE, EXIT_OK]
-        assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0], peaks
-
 
 # The argv of each subcommand that --e0 completes, in TestNegativeExponentValues
 # and test_space_form_under_other_cpythons.
@@ -464,10 +439,14 @@ class TestLimitStudy:
             ),
         ],
     )
-    def test_bad_schedule_flag_is_named(self, capsys, flags, message):
+    def test_bad_schedule_flag_is_named(self, capsys, tmp_path, flags, message):
         argv = ["limit-study", "--k", "1", "--e0", "-1"] + flags.split()
         code, out, err = run_cli(capsys, argv)
         assert (code, out, err) == (EXIT_VALIDATION, "", f"error: {message}\n")
+        target = tmp_path / "table.csv"
+        code, out, err = run_cli(capsys, argv + ["--output", str(target)])
+        assert (code, out, err) == (EXIT_VALIDATION, "", f"error: {message}\n")
+        assert not target.exists()
 
     def test_subnormal_start_names_the_factor(self, capsys):
         # 0.9 * 5e-324 rounds back to 5e-324.
@@ -486,27 +465,89 @@ class TestLimitStudy:
         assert code == EXIT_VALIDATION
         assert "--eps-count" in err
 
-    def test_rows_hold_no_copy_of_the_samples(self):
-        # Rows are formatted as they are written, so what grows with the
-        # schedule is the estimate's one tuple of samples, about 113 B a
-        # cutoff; a list of every formatted row besides took about 230 B.
-        head = [
-            "limit-study", "--k", "1", "--e0=-1", "--eps-factor", "0.9999",
-            "--output", os.devnull, "--eps-count",
+    def test_error_after_the_first_samples_writes_nothing(self, capsys, tmp_path):
+        # Two cutoffs are sampled before the third, 1e-326, rounds to 0.0.
+        argv = [
+            "limit-study", "--k", "1", "--e0=-1", "--eps-start", "1e-320",
+            "--eps-factor", "0.001",
         ]
-        main(head + ["2"])
-        codes, peaks = [], []
-        for count in (20_000, 80_000):
-            gc.collect()
-            tracemalloc.start()
-            try:
-                codes.append(main(head + [str(count)]))
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            peaks.append(peak)
-        assert codes == [EXIT_NO_CONVERGENCE, EXIT_OK]
-        assert (peaks[1] - peaks[0]) / 60_000 < 150, peaks
+        message = (
+            "error: at k=1.0, e0=-1.0, eps=0.0 the cutoff must be positive with "
+            "mu*eps = 0.0 and k*eps = 0.0 both at most 2.0\n"
+        )
+        assert run_cli(capsys, argv) == (EXIT_DOMAIN, "", message)
+        target = tmp_path / "table.csv"
+        assert run_cli(capsys, argv + ["--output", str(target)]) == (EXIT_DOMAIN, "", message)
+        assert not target.exists()
+
+    @pytest.mark.parametrize("mode", [mode.value for mode in RegularizationMode])
+    @pytest.mark.parametrize("factor", [0.1, 0.5])
+    def test_rows_replay_the_samples_of_the_estimate(self, mode, factor):
+        # The rows come from a second pass down the schedule; they are the
+        # samples limit_extrapolate folds, and the limit line its estimate.
+        rng = random.Random(21)
+        # k and mu log-uniform on [1e-3, 1e3], after one resonant problem.
+        problems = [ScatteringProblem(k=1.0, e0=-1.0)] + [
+            ScatteringProblem(k=10 ** rng.uniform(-3, 3), e0=-(100 ** rng.uniform(-3, 3)))
+            for _ in range(12)
+        ]
+        regularization, codes = RegularizationMode(mode), set()
+        for problem, count in itertools.product(problems, (None, 3)):
+            if regularization is RegularizationMode.TRUNCATED_LOG and problem.log_x == 0.0:
+                continue  # the truncated bracket vanishes at resonance: exit 4
+            schedule = EpsilonSchedule.default_for(problem, factor)
+            argv = [
+                "limit-study", "--k", repr(problem.k), f"--e0={problem.e0!r}",
+                "--mode", mode, "--eps-factor", repr(factor),
+            ]
+            if count is not None:
+                # Three cutoffs: too short a schedule for FULL limits to pass.
+                schedule = schedule._replace(count=count)
+                argv += ["--eps-count", str(count)]
+            estimate = limit_extrapolate(problem, schedule, regularization)
+            code, out, err = run_main(argv)
+            closed = cross_section_closed(problem).sigma
+            rows = [
+                "%#.15g,%#.15g,%#.15g" % (eps, sigma, abs(sigma - closed))
+                for eps, sigma in estimate.samples
+            ]
+            limit = "limit,%#.15g,%#.15g" % (estimate.sigma_limit, estimate.error_estimate)
+            assert code in (EXIT_OK, EXIT_NO_CONVERGENCE), err
+            assert (code == EXIT_NO_CONVERGENCE) == (not estimate.converged)
+            assert out.splitlines() == ["eps,sigma_eps,abs_err_vs_closed", *rows, limit]
+            codes.add(code)
+        # The two log modes' brackets do not depend on eps, so only FULL warns.
+        assert codes == ({EXIT_OK, EXIT_NO_CONVERGENCE} if mode == "full" else {EXIT_OK})
+
+
+@pytest.mark.parametrize(
+    "head",
+    [["cross-section", "--method", "limit"], ["limit-study"]],
+    ids=lambda head: head[0],
+)
+def test_limit_memory_is_flat_down_a_long_schedule(head):
+    # Both subcommands hold two samples at a time, however many the schedule
+    # has; all 2 000 or 8 000 cutoffs here are sampled, and only the longer
+    # schedule meets the stop test.  A first short run fills the one-time
+    # caches (argparse's, re's) outside the trace, and collecting first keeps
+    # the parsers' cycles from freeing mid-trace.
+    head = head + [
+        "--k", "1", "--e0=-1", "--eps-factor", "0.999", "--output", os.devnull,
+        "--eps-count",
+    ]
+    main(head + ["2"])
+    codes, peaks = [], []
+    for count in ("2000", "8000"):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            codes.append(main(head + [count]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert codes == [EXIT_NO_CONVERGENCE, EXIT_OK]
+    assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0], peaks
 
 
 class TestSweep:
