@@ -11,15 +11,15 @@ two cylinder functions are evaluated at the cutoff is what this module
 makes explicit:
 
   - FULL uses the convergent power series and recovers the closed form.
-  - ASYMPTOTIC keeps the two-term small-argument forms (the bare log
-    plus the ln 2 + gamma constants and H0's real part 1); this also
-    recovers the closed form, which shows the limit needs nothing
-    beyond the leading behaviour of the cylinder functions.
-  - TRUNCATED_LOG keeps only the bare logarithms.  The constants it
-    drops are exactly what couples the two functions' phases, so every
-    sigma(eps) collapses onto pi^2/(k (ln x)^2) independent of eps: a
-    plausible-looking but wrong limit that overshoots the true cross
-    section by (pi^2 + 4 (ln x)^2)/(4 (ln x)^2).
+  - The other two take the two-term forms K0 = -ln(c z) - g and
+    H0 = h + (2i/pi)(ln(c z) + g), and differ only in those constants.
+    ASYMPTOTIC keeps ln 2 (c = 1/2), g = gamma and H0's real part h = 1,
+    and also recovers the closed form: the limit needs nothing beyond
+    the leading behaviour of the cylinder functions.
+  - TRUNCATED_LOG keeps only the bare logs (c = 1, g = h = 0).  What it
+    drops couples the two functions' phases, so every sigma(eps)
+    collapses onto pi^2/(k (ln x)^2) independent of eps: a plausible but
+    wrong limit, too large by the factor (pi^2 + 4 (ln x)^2)/(4 (ln x)^2).
 
 mead_godines_wrong_limit returns that wrong limit in closed form so the
 failure mode can be asserted against, not just observed.
@@ -36,7 +36,7 @@ from collections.abc import Iterable, Iterator
 from .errors import DomainError, SingularityError, ValidationError
 from .scattering import ScatteringProblem, _checked_sigma
 from .special_functions import (
-    SERIES_Z_MAX, TWO_OVER_PI, _h0_sum, _k0_log, _k0_sum, _log_product, _y0_log
+    EULER_GAMMA, SERIES_Z_MAX, TWO_OVER_PI, _h0_sum, _k0_sum, _log_product
 )
 
 # 1/(2 pi) built from the shared 2/pi constant: the power-of-two scaling
@@ -132,9 +132,14 @@ def _sigma_trace(
     """(eps, sigma(eps)) per cutoff: one loop that reads problem and mode once."""
     k, mu, e0 = problem.k, problem.bound_state_scale, problem.e0
     full, truncated = mode is _FULL, mode is _TRUNCATED_LOG
-    z_max = _FLOAT_MAX if truncated else SERIES_Z_MAX
-    # ln(z/2) for the series and two-term forms, bare ln z for TRUNCATED_LOG.
-    c = 1.0 if truncated else 0.5
+    # Beyond FULL's series and the bound z_max, the modes differ only in c
+    # (ln(c z)), g and H0's real part; TRUNCATED_LOG drops ln 2, gamma and 1.
+    if full or mode is _ASYMPTOTIC:
+        z_max, c, g, h0_real = SERIES_Z_MAX, 0.5, EULER_GAMMA, 1.0
+    elif truncated:
+        z_max, c, g, h0_real = _FLOAT_MAX, 1.0, 0.0, 0.0
+    else:
+        raise ValidationError(f"unknown regularization mode: {mode!r}")
     for eps in epsilons:
         # The one domain check on this route; the kernels below check nothing.
         z_mu, z_k = mu * eps, k * eps
@@ -146,13 +151,8 @@ def _sigma_trace(
         log_mu, log_k = _log_product(mu, eps, c), _log_product(k, eps, c)
         if full:
             k0_value, (h0_real, h0_imag) = _k0_sum(z_mu, log_mu), _h0_sum(z_k, log_k)
-        elif mode is _ASYMPTOTIC:
-            k0_value, h0_real, h0_imag = _k0_log(log_mu), 1.0, _y0_log(log_k)
-        elif truncated:
-            # Bare logarithms only; no ln 2, no gamma, no real part of H0.
-            k0_value, h0_real, h0_imag = -log_mu, 0.0, TWO_OVER_PI * log_k
         else:
-            raise ValidationError(f"unknown regularization mode: {mode!r}")
+            k0_value, h0_imag = -log_mu - g, TWO_OVER_PI * (log_k + g)
         # bracket = K0/(2 pi) - (i/4) H0 = K0/(2 pi) + H0.imag/4 - i H0.real/4;
         # sign flips and adding 0.0 are exact, so a resonant bracket still
         # cancels to exactly zero.

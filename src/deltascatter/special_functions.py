@@ -2,15 +2,15 @@
 
 Self-contained double-precision evaluation of J0, Y0, K0 and the first
 Hankel function H0 = J0 + iY0 by their ascending power series, plus the
-two-term logarithmic forms that K0 and H0 collapse to as z -> 0.  The
-series are kept to arguments 0 < z <= 2, where a handful of terms gives
-full double accuracy; larger arguments raise DomainError rather than
-silently losing precision.  Stdlib only.
+two-term forms K0 and H0 collapse to as z -> 0, each series' m = 0 term.
+The series are kept to arguments 0 < z <= 2, where a handful of terms
+gives full double accuracy; larger arguments raise DomainError rather
+than silently losing precision.  Stdlib only.
 
-Each public function checks z, then calls private kernels that check
-nothing: _h0_sum (J0 and Y0) and _k0_sum need 0 <= z <= SERIES_Z_MAX.
-Both, and bessel_j0, read one term ladder, _ladder: q^m/(m!)^2 summed
-with and without the harmonic weights h_m, at q = -z^2/4 or z^2/4.
+Each public function checks z, then calls the only kernels, which check
+nothing: _ladder, q^m/(m!)^2 summed with and without the harmonic weights
+h_m, and _h0_sum (J0 and Y0) and _k0_sum, which read it at q = -z^2/4 or
+z^2/4, need 0 <= z <= SERIES_Z_MAX, and at z = 0 give the two-term forms.
 They take ln(z/2) from the caller, as _log_product(a, eps, 0.5) for
 z = a*eps, which owns the rule for a product off the normal doubles.
 """
@@ -107,10 +107,6 @@ def _h0_sum(z: float, log_half: float) -> tuple[float, float]:
     return j0, TWO_OVER_PI * ((log_half + EULER_GAMMA) * j0 - correction)
 
 
-def _y0_log(log_half: float) -> float:
-    return TWO_OVER_PI * (log_half + EULER_GAMMA)
-
-
 def bessel_k0(z: float) -> float:
     """K0 from the I0 series and its harmonic-number companion.
 
@@ -125,10 +121,6 @@ def _k0_sum(z: float, log_half: float) -> float:
     return -(log_half + EULER_GAMMA) * i0 + correction
 
 
-def _k0_log(log_half: float) -> float:
-    return -log_half - EULER_GAMMA
-
-
 def hankel1_0(z: float) -> complex:
     """H0(z) = J0(z) + i Y0(z), with one term ladder serving both components."""
     _require_series_domain(z, "hankel1_0")
@@ -136,12 +128,12 @@ def hankel1_0(z: float) -> complex:
 
 
 def k0_small_z(z: float) -> float:
-    """Two-term z -> 0 form of K0: -ln(z/2) - gamma."""
+    """Two-term z -> 0 form of K0, its series' m = 0 term: -ln(z/2) - gamma."""
     _require_positive(z, "k0_small_z")
-    return _k0_log(_log_product(z, 1.0, 0.5))
+    return _k0_sum(0.0, _log_product(z, 1.0, 0.5))
 
 
 def hankel1_0_small_z(z: float) -> complex:
-    """Two-term z -> 0 form of H0: 1 + (2i/pi)(ln(z/2) + gamma)."""
+    """Two-term z -> 0 form of H0, its m = 0 terms: 1 + (2i/pi)(ln(z/2) + gamma)."""
     _require_positive(z, "hankel1_0_small_z")
-    return complex(1.0, _y0_log(_log_product(z, 1.0, 0.5)))
+    return complex(*_h0_sum(0.0, _log_product(z, 1.0, 0.5)))

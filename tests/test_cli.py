@@ -681,6 +681,45 @@ class TestOutputPlumbing:
         assert result.stdout == out
 
 
+def test_dev_mode_runs_raise_no_warning(tmp_path):
+    """python -X dev -W error -m deltascatter exits as documented, with no
+    warning, traceback or unraisable exception on stderr: no error path
+    leaves a file unclosed, and argparse's private matcher draws no warning."""
+    command = [sys.executable, "-X", "dev", "-W", "error", "-m", "deltascatter"]
+    table, unwritten = str(tmp_path / "table.csv"), tmp_path / "unwritten.csv"
+    runs = [
+        (["cross-section", "--k", "1", "--e0=-1"], EXIT_OK),
+        (["limit-study", "--k", "1", "--e0=-1", "--output", table], EXIT_OK),
+        (["sweep", "--e0=-1", "--k-min", "1e-320", "--k-max", "1", "--points", "3",
+          "--output", table], EXIT_DOMAIN),
+        (["limit-study", "--k", "1", "--e0=-1", "--eps-start", "1e-320",
+          "--eps-factor", "0.001", "--output", str(unwritten)], EXIT_DOMAIN),
+        (["cross-section", "--k", "1", "--e0=-1",
+          "--output", str(tmp_path / "missing" / "x")], EXIT_VALIDATION),
+    ]
+    results = []
+    for argv, expected in runs:
+        result = subprocess.run(command + argv, capture_output=True, text=True, timeout=120)
+        results.append((argv, expected, result.returncode, result.stderr))
+    # A reader that closes the pipe after the header.
+    argv = ["sweep", "--e0=-1", "--k-min", "0.01", "--k-max", "100", "--points", "200000"]
+    with subprocess.Popen(
+        command + argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    ) as child:
+        child.stdout.readline()
+        child.stdout.close()
+        stderr = child.stderr.read()
+        results.append((argv, EXIT_OK, child.wait(timeout=120), stderr))
+    failures = [
+        (argv, code, stderr[-300:])
+        for argv, expected, code, stderr in results
+        if code != expected
+        or any(word in stderr for word in ("Warning", "Traceback", "Exception ignored"))
+    ]
+    assert failures == []
+    assert not unwritten.exists()
+
+
 def other_cpythons():
     """Each CPython >= 3.10, other than the one running, that starts as one
     of python3.10 .. python3.13 on PATH (a pyenv shim with no version set

@@ -177,6 +177,12 @@ class TestRegularizedCrossSection:
             limit_extrapolate(problem, schedule, "full")
         with pytest.raises(ValidationError, match=r"^unknown regularization mode: None$"):
             regularized_cross_section(problem, 1e-3, None)
+        # The mode is checked before the first cutoff, even one out of domain.
+        problem = ScatteringProblem(k=1.0, e0=-1.0)
+        with pytest.raises(ValidationError, match=r"^unknown regularization mode: 'full'$"):
+            limit_extrapolate(problem, EpsilonSchedule(3.0, 0.5, 2), "full")
+        with pytest.raises(ValidationError, match=r"^unknown regularization mode: None$"):
+            regularized_cross_section(problem, 3.0, None)
 
     @pytest.mark.parametrize("mode", list(RegularizationMode))
     def test_underflowed_cutoff_names_the_input(self, mode):

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 
 import mpmath as mp
@@ -360,3 +361,36 @@ class TestWholeDoubleRange:
                     route(problem)
             else:
                 assert math.isfinite(route(problem).sigma)
+
+
+# The accuracy contract README states for the closed and partial-wave routes,
+# in units in the last place of the exact sigma.
+CONTRACT_ULP = 8.0
+
+
+def test_accuracy_contract_against_mpmath():
+    """6 000 seeded draws: k log-uniform on [1e-300, 1e300] and mu on
+    [1e-150, 1e150], and one draw in five in the resonance band
+    mu = k e^t, |t| <= 1e-3.  Both routes stay within CONTRACT_ULP of the
+    40-digit sigma, with mu = sqrt(-e0) taken in mpmath."""
+    rng = random.Random(22)
+
+    def log_uniform(low, high):
+        return math.exp(rng.uniform(math.log(low), math.log(high)))
+
+    routes = (cross_section_closed, cross_section_partial_wave)
+    worst = dict.fromkeys((route.__name__ for route in routes), 0.0)
+    for i in range(6_000):
+        if i % 5 == 0:
+            mu = log_uniform(1e-150, 1e150)
+            k = mu * math.exp(-rng.uniform(-1e-3, 1e-3))
+        else:
+            k, mu = log_uniform(1e-300, 1e300), log_uniform(1e-150, 1e150)
+        problem = ScatteringProblem(k=k, e0=-mu * mu)
+        with mp.workdps(40):
+            exact = exact_sigma(k, problem.e0)
+            ulp = math.ulp(float(exact))
+            for route in routes:
+                error = float(abs(mp.mpf(route(problem).sigma) - exact)) / ulp
+                worst[route.__name__] = max(worst[route.__name__], error)
+    assert max(worst.values()) <= CONTRACT_ULP, worst

@@ -202,9 +202,10 @@ def test_hankel_small_z_real_part_always_one(z):
 
 @given(positive)
 def test_small_z_forms_share_the_rounded_log(z):
-    # im = (2/pi)(ln(z/2)+gamma) and k0_small_z = -(ln(z/2)+gamma) are built
-    # from bitwise-negated intermediates, so this holds exactly; downstream
-    # cancellation at resonance depends on it.
+    # im = (2/pi)(ln(z/2)+gamma) and k0_small_z = -(ln(z/2)+gamma), the m = 0
+    # terms of the Y0 and K0 series, are built from one rounded ln(z/2)+gamma,
+    # negated for K0, so this holds exactly; downstream cancellation at
+    # resonance depends on it.
     assert hankel1_0_small_z(z).imag == -(TWO_OVER_PI * k0_small_z(z))
 
 
@@ -337,6 +338,27 @@ def test_kernels_fingerprint():
         values = (bessel_j0(z), bessel_y0(z), bessel_k0(z), h.real, h.imag)
         digest.update(" ".join(v.hex() for v in values).encode() + b"\n")
     assert digest.hexdigest() == KERNELS_SHA256
+
+
+SMALL_Z_FORMS_SHA256 = "ded573e0450d4a36189292b2b74dad932e64c04f7c0e7f65cd6b6e9b8c4da4a8"
+
+
+def test_small_z_forms_fingerprint():
+    """The two-term forms bit for bit, as .hex() of k0_small_z and of
+    hankel1_0_small_z's imaginary part, on test_kernels_fingerprint's z and
+    10 000 seeded log-uniform z in [2, 1e300], since these forms take any
+    finite z > 0: as they gave them when each had its own two-term kernel."""
+    rng = random.Random(17)
+    log_low, log_high = math.log(5e-324), math.log(2.0)
+    zs = [min(2.0, math.exp(rng.uniform(log_low, log_high))) for _ in range(100_000)]
+    zs += [math.ldexp(rng.randrange(1, 2**52), -1074) for _ in range(10_000)]
+    rng = random.Random(19)
+    zs += [math.exp(rng.uniform(math.log(2.0), math.log(1e300))) for _ in range(10_000)]
+    digest = hashlib.sha256()
+    for z in zs:
+        values = (k0_small_z(z), hankel1_0_small_z(z).imag)
+        digest.update(" ".join(v.hex() for v in values).encode() + b"\n")
+    assert digest.hexdigest() == SMALL_Z_FORMS_SHA256
 
 
 def test_one_ladder_matches_a_test_per_sum():
