@@ -17,8 +17,6 @@ once for the estimate and every error, before the first byte, and once
 more for the rows as they are written.
 """
 
-from __future__ import annotations
-
 import argparse
 import io
 import itertools
@@ -170,13 +168,14 @@ _ARGUMENTS = {
                    help="how the cutoff bracket is evaluated"),
     "--eps-start": dict(type=float, help="largest cutoff (default: 1e-2, shrunk "
                         "to fit the series domain)"),
-    "--eps-factor": dict(type=float, default=1e-1),
+    "--eps-factor": dict(type=float, default=1e-1, help="ratio of each cutoff to "
+                         "the one before, in (0, 1)"),
     "--eps-count": dict(type=int, help="number of cutoffs (default: 5 with "
                         "--eps-start, otherwise enough at --eps-factor to take "
                         "max(k, mu)*eps down to 7e-6)"),
-    "--k-min": dict(type=float, required=True),
-    "--k-max": dict(type=float, required=True),
-    "--points": dict(type=int, default=9),
+    "--k-min": dict(type=float, required=True, help="smallest momentum of the grid"),
+    "--k-max": dict(type=float, required=True, help="largest momentum of the grid"),
+    "--points": dict(type=int, default=9, help="number of grid momenta, at least 2"),
     "--output": dict(help="write the table here instead of stdout"),
 }
 _SUBCOMMANDS = {

@@ -25,8 +25,6 @@ mead_godines_wrong_limit returns that wrong limit in closed form so the
 failure mode can be asserted against, not just observed.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 import sys
@@ -100,9 +98,12 @@ class EpsilonSchedule(namedtuple("EpsilonSchedule", "eps_start factor count")):
 
         eps_start shrinks tenfold from 1e-2 until k*eps and mu*eps fit the
         series domain; a factor outside (0, 1) is rejected before the count,
-        which grows from 5 until max(k, mu)*eps, falling by factor, reaches
-        7e-6 (where the last two FULL samples pass the convergence test) or,
-        for a factor near 1, count reaches 10 000.
+        which grows from 5 until z = max(k, mu)*eps, falling by factor, reaches
+        7e-6 or, for a factor near 1, count reaches 10 000.  Why 7e-6: to O(z^2)
+        (DLMF 10.8, 10.31) a FULL sample misses sigma by the relative gap
+        -2 Re(conj(B0) dB)/|B0|^2, B0 = -ln x/(2 pi) - i/4, dB ~ z^2 ln z.  Over
+        every ln x it peaks at 1.1e-10 for z = 7e-6 and 9.0e-9 for 7e-5, so at
+        factor 0.1 the last two samples pass the 1e-8 test, the last ~1e-10 off.
         """
         eps_start = 1e-2
         scale = max(problem.k, problem.bound_state_scale)

@@ -13,8 +13,6 @@ tan(delta_0) = -pi/(2 ln x) and every other delta_m = 0.  Both routes
 are implemented here so they can be checked against each other.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from collections import namedtuple

@@ -15,8 +15,6 @@ They take ln(z/2) from the caller, as _log_product(a, eps, 0.5) for
 z = a*eps, which owns the rule for a product off the normal doubles.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import sys

@@ -746,10 +746,10 @@ def other_cpythons():
     return list(found.values())
 
 
-def run_children(argvs):
+def run_children(argvs, options=()):
     """(interpreter, argv, exit code, stdout, stderr) of each argv as a
-    python -m deltascatter child of each other CPython; skips when none
-    starts."""
+    python [options] -m deltascatter child of each other CPython; skips when
+    none starts."""
     interpreters = other_cpythons()
     if not interpreters:
         pytest.skip("no other CPython >= 3.10 starts from PATH")
@@ -759,7 +759,8 @@ def run_children(argvs):
     for exe in interpreters:
         for argv in argvs:
             result = subprocess.run(
-                [exe, "-m", "deltascatter", *argv], capture_output=True, env=env, timeout=120
+                [exe, *options, "-m", "deltascatter", *argv],
+                capture_output=True, env=env, timeout=120,
             )
             runs.append((exe, argv, result.returncode, result.stdout, result.stderr))
     return runs
@@ -794,6 +795,23 @@ def test_space_form_under_other_cpythons():
             space_form = runs[exe, tuple(head + ["--e0", "-2.5e-3"])]
             if code != EXIT_OK or space_form != (code, out, b""):
                 failures.append((exe, head, code, space_form[0], space_form[2][-200:]))
+    assert failures == []
+
+
+def test_dev_mode_under_other_cpythons():
+    # Annotations evaluate at definition time and build_parser sets a private
+    # argparse attribute: a newer or older Python is where either would warn
+    # first.
+    argvs = [
+        ("cross-section", "--k", "1", "--e0=-1", "--method", "limit"),
+        ("limit-study", "--k", "1", "--e0=-1"),
+        ("sweep", "--e0=-1", "--k-min", "0.5", "--k-max", "2"),
+    ]
+    failures = [
+        (exe, argv, code, err[-300:])
+        for exe, argv, code, out, err in run_children(argvs, ("-X", "dev", "-W", "error"))
+        if (code, err) != (EXIT_OK, b"")
+    ]
     assert failures == []
 
 
@@ -848,6 +866,7 @@ def test_every_parser_flag_is_pinned():
     (subparsers,) = [a for a in parser._actions if a.dest == "subcommand"]
     parsers = {"deltascatter": parser, **subparsers.choices}
     eps_start_help = "largest cutoff (default: 1e-2, shrunk to fit the series domain)"
+    eps_factor_help = "ratio of each cutoff to the one before, in (0, 1)"
     eps_count_help = (
         "number of cutoffs (default: 5 with --eps-start, otherwise enough at "
         "--eps-factor to take max(k, mu)*eps down to 7e-6)"
@@ -876,7 +895,8 @@ def test_every_parser_flag_is_pinned():
             (["--mode"], "mode", "full", None, ["asymptotic", "full", "truncated-log"],
              False, "how the cutoff bracket is evaluated"),
             (["--eps-start"], "eps_start", None, "float", None, False, eps_start_help),
-            (["--eps-factor"], "eps_factor", 0.1, "float", None, False, None),
+            (["--eps-factor"], "eps_factor", 0.1, "float", None, False,
+             eps_factor_help),
             (["--eps-count"], "eps_count", None, "int", None, False, eps_count_help),
             (["--output"], "output", None, None, None, False,
              "write the table here instead of stdout"),
@@ -890,7 +910,8 @@ def test_every_parser_flag_is_pinned():
             (["--mode"], "mode", "full", None, ["asymptotic", "full", "truncated-log"],
              False, "how the cutoff bracket is evaluated"),
             (["--eps-start"], "eps_start", None, "float", None, False, eps_start_help),
-            (["--eps-factor"], "eps_factor", 0.1, "float", None, False, None),
+            (["--eps-factor"], "eps_factor", 0.1, "float", None, False,
+             eps_factor_help),
             (["--eps-count"], "eps_count", None, "int", None, False, eps_count_help),
             (["--output"], "output", None, None, None, False,
              "write the table here instead of stdout"),
@@ -900,9 +921,12 @@ def test_every_parser_flag_is_pinned():
              "show this help message and exit"),
             (["--e0"], "e0", None, "float", None, True,
              "bound-state energy, must be negative"),
-            (["--k-min"], "k_min", None, "float", None, True, None),
-            (["--k-max"], "k_max", None, "float", None, True, None),
-            (["--points"], "points", 9, "int", None, False, None),
+            (["--k-min"], "k_min", None, "float", None, True,
+             "smallest momentum of the grid"),
+            (["--k-max"], "k_max", None, "float", None, True,
+             "largest momentum of the grid"),
+            (["--points"], "points", 9, "int", None, False,
+             "number of grid momenta, at least 2"),
             (["--output"], "output", None, None, None, False,
              "write the table here instead of stdout"),
         ],

@@ -526,6 +526,54 @@ class TestLimitExtrapolate:
                 assert smaller < larger
 
 
+def predicted_gap(problem, eps):
+    """sigma(eps)/sigma - 1 of a FULL sample to O(z^2): K0, J0 and Y0 to
+    that order (DLMF 10.8, 10.31) move the bracket from its limit
+    B0 = -ln x/(2 pi) - i/4 by dB_re = [z_mu^2 (1 - L_mu) + z_k^2 (1 - L_k)]/(8 pi)
+    and dB_im = z_k^2/16, with L = ln(z/2) + gamma, and sigma ~ 1/|B|^2."""
+    z_mu, z_k = problem.bound_state_scale * eps, problem.k * eps
+    l_mu, l_k = (math.log(z / 2.0) + EULER_GAMMA for z in (z_mu, z_k))
+    b0_re, b0_im = -problem.log_x / (2.0 * math.pi), -0.25
+    db_re = (z_mu**2 * (1.0 - l_mu) + z_k**2 * (1.0 - l_k)) / (8.0 * math.pi)
+    db_im = z_k**2 / 16.0
+    return -2.0 * (b0_re * db_re + b0_im * db_im) / (b0_re**2 + b0_im**2)
+
+
+def test_predicted_gap_explains_the_default_stop():
+    """3 000 seeded problems, k and mu log-uniform on [1e-3, 1e3], down
+    default_for in FULL mode.  Where max(k, mu)*eps <= 1e-3 and the gap is
+    above 1e-9, predicted_gap matches each sample's observed gap to 1e-3 of
+    itself.  At the next-to-last cutoff it is below 1e-8 and at the last at
+    most 1e-9, so the last two samples pass the 1e-8 stop test; the gap
+    depends on max(k, mu)*eps and ln x alone, and its peak over ln x at
+    those two cutoffs, 7e-5 and 7e-6, is held to the same bounds."""
+    rng = random.Random(22)
+    matched, worst_match, next_to_last, last = 0, 0.0, 0.0, 0.0
+    for _ in range(3_000):
+        k, mu = (math.exp(rng.uniform(math.log(1e-3), math.log(1e3))) for _ in range(2))
+        problem = ScatteringProblem(k=k, e0=-mu * mu)
+        scale = max(problem.k, problem.bound_state_scale)
+        sigma = cross_section_closed(problem).sigma
+        schedule = EpsilonSchedule.default_for(problem)
+        estimate = limit_extrapolate(problem, schedule, RegularizationMode.FULL)
+        gaps = [predicted_gap(problem, eps) for eps, _ in estimate.samples]
+        for (eps, sigma_eps), gap in zip(estimate.samples, gaps):
+            if scale * eps <= 1e-3 and abs(gap) > 1e-9:
+                matched += 1
+                miss = abs(sigma_eps / sigma - 1.0 - gap) / abs(gap)
+                worst_match = max(worst_match, miss)
+        next_to_last = max(next_to_last, abs(gaps[-2]))
+        last = max(last, abs(gaps[-1]))
+    assert matched >= 4_000
+    assert worst_match <= 1e-3
+    assert next_to_last < 1e-8
+    assert last <= 1e-9
+    grid = [problem_at(1.0, i / 100) for i in range(-1_000, 1_001)]
+    for z, bound in ((7e-5, 1e-8), (7e-6, 1e-9)):
+        peak = max(abs(predicted_gap(p, z / max(p.k, p.bound_state_scale))) for p in grid)
+        assert peak < bound, (z, peak)
+
+
 # Cutoffs for the limit route's fingerprint: bad ones, subnormal ones, and
 # ones whose products leave the series domain for large k or mu.
 FINGERPRINT_CUTOFFS = (

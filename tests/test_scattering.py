@@ -366,13 +366,35 @@ class TestWholeDoubleRange:
 # The accuracy contract README states for the closed and partial-wave routes,
 # in units in the last place of the exact sigma.
 CONTRACT_ULP = 8.0
+# ... and for the FULL and ASYMPTOTIC limits down EpsilonSchedule.default_for,
+# relative to the exact sigma.  TRUNCATED_LOG's limit is wrong by design.
+LIMIT_CONTRACT_REL = {RegularizationMode.FULL: 2e-10, RegularizationMode.ASYMPTOTIC: 1e-13}
+
+
+def asymptotic_error_model(problem, eps):
+    """Relative error ASYMPTOTIC's sigma(eps) can carry from rounding.
+
+    Its bracket's real part, -ln x/(2 pi), is the difference of the two
+    cutoff logs ln(mu eps/2) and ln(k eps/2), each rounded to within
+    2^-53 of its size, which reaches about 745.  With L = ln x and
+    sigma ~ 1/(L^2 + pi^2/4), that error reaches sigma as at most
+    2|L|(|ln(mu eps/2)| + |ln(k eps/2)|) 2^-53/(L^2 + pi^2/4), largest near
+    |L| = pi/2, on top of 16 * 2^-53 for the arithmetic after the logs.
+    """
+    log_x, log_half_eps = problem.log_x, math.log(eps) - math.log(2.0)
+    logs = abs(math.log(problem.bound_state_scale) + log_half_eps) + abs(
+        math.log(problem.k) + log_half_eps
+    )
+    return (2.0 * abs(log_x) * logs / (log_x * log_x + math.pi**2 / 4) + 16.0) * 2.0**-53
 
 
 def test_accuracy_contract_against_mpmath():
     """6 000 seeded draws: k log-uniform on [1e-300, 1e300] and mu on
     [1e-150, 1e150], and one draw in five in the resonance band
     mu = k e^t, |t| <= 1e-3.  Both routes stay within CONTRACT_ULP of the
-    40-digit sigma, with mu = sqrt(-e0) taken in mpmath."""
+    40-digit sigma, with mu = sqrt(-e0) taken in mpmath; the FULL and
+    ASYMPTOTIC limits down default_for converge within LIMIT_CONTRACT_REL,
+    and ASYMPTOTIC's within twice asymptotic_error_model."""
     rng = random.Random(22)
 
     def log_uniform(low, high):
@@ -380,6 +402,8 @@ def test_accuracy_contract_against_mpmath():
 
     routes = (cross_section_closed, cross_section_partial_wave)
     worst = dict.fromkeys((route.__name__ for route in routes), 0.0)
+    worst_limit = dict.fromkeys(LIMIT_CONTRACT_REL, 0.0)
+    worst_over_model, unconverged = 0.0, []
     for i in range(6_000):
         if i % 5 == 0:
             mu = log_uniform(1e-150, 1e150)
@@ -387,10 +411,23 @@ def test_accuracy_contract_against_mpmath():
         else:
             k, mu = log_uniform(1e-300, 1e300), log_uniform(1e-150, 1e150)
         problem = ScatteringProblem(k=k, e0=-mu * mu)
+        schedule = EpsilonSchedule.default_for(problem)
         with mp.workdps(40):
             exact = exact_sigma(k, problem.e0)
             ulp = math.ulp(float(exact))
             for route in routes:
                 error = float(abs(mp.mpf(route(problem).sigma) - exact)) / ulp
                 worst[route.__name__] = max(worst[route.__name__], error)
+            for mode in LIMIT_CONTRACT_REL:
+                estimate = limit_extrapolate(problem, schedule, mode)
+                if not estimate.converged:
+                    unconverged.append((k, mu, mode))
+                error = float(abs(mp.mpf(estimate.sigma_limit) / exact - 1))
+                worst_limit[mode] = max(worst_limit[mode], error)
+                if mode is RegularizationMode.ASYMPTOTIC:
+                    model = asymptotic_error_model(problem, estimate.samples[-1][0])
+                    worst_over_model = max(worst_over_model, error / model)
     assert max(worst.values()) <= CONTRACT_ULP, worst
+    assert unconverged == []
+    assert all(worst_limit[m] <= LIMIT_CONTRACT_REL[m] for m in worst_limit), worst_limit
+    assert worst_over_model <= 2.0
