@@ -31,36 +31,34 @@ class ScatteringProblem(namedtuple("ScatteringProblem", "k e0")):
     e0 < 0; construction rejects anything else, and _replace and _make
     construct, so they validate too.
 
-    Construction also computes the derived scales mu, x and ln x, once.
-    They are stored outside the tuple and read through properties, so
-    repr, equality, hashing and _fields still see only (k, e0).
+    The derived scales mu, x and ln x are properties computed from (k, e0)
+    on each read, and no other attribute can be set.
     """
+
+    __slots__ = ()
 
     def __init__(self, k: float, e0: float) -> None:
         if not (math.isfinite(k) and k > 0.0):
             raise ValidationError(f"k must be finite and positive, got {k!r}")
         if not (math.isfinite(e0) and e0 < 0.0):
             raise ValidationError(f"e0 must be finite and negative, got {e0!r}")
-        self._mu = mu = math.sqrt(-e0)
-        self._x = mu / k
-        self._log_x = _ln_x(mu, k)
 
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def bound_state_scale(self) -> float:
         """mu = sqrt(-e0), the momentum scale set by the bound state."""
-        return self._mu
+        return math.sqrt(-self.e0)
 
     @property
     def x(self) -> float:
         """Dimensionless ratio sqrt(-e0)/k."""
-        return self._x
+        return math.sqrt(-self.e0) / self.k
 
     @property
     def log_x(self) -> float:
         """ln(sqrt(-e0)/k), exactly zero at resonance k = sqrt(-e0)."""
-        return self._log_x
+        return _ln_x(math.sqrt(-self.e0), self.k)
 
 
 def _ln_x(mu: float, k: float) -> float:

@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import errno
+import functools
 import gc
 import hashlib
 import io
@@ -720,29 +721,31 @@ def test_dev_mode_runs_raise_no_warning(tmp_path):
     assert not unwritten.exists()
 
 
+@functools.cache
 def other_cpythons():
-    """Each CPython >= 3.10, other than the one running, that starts as one
-    of python3.10 .. python3.13 on PATH (a pyenv shim with no version set
-    does not start)."""
+    """One CPython per minor version 3.10 .. 3.13, other than the one running:
+    python3.10 .. python3.13 on PATH first, then $PYENV_ROOT/versions/*/bin/python3
+    (default ~/.pyenv), since a pyenv shim with no version set does not start."""
     probe = (
         "import os, sys; print(sys.implementation.name == 'cpython' "
-        "and sys.version_info >= (3, 10)); print(os.path.realpath(sys.executable))"
+        "and (3, 10) <= sys.version_info < (3, 14) and sys.version_info[1]); "
+        "print(os.path.realpath(sys.executable))"
     )
+    pyenv = pathlib.Path(os.environ.get("PYENV_ROOT", pathlib.Path.home() / ".pyenv"))
+    candidates = [shutil.which(f"python3.{minor}") for minor in range(10, 14)]
+    candidates += sorted(map(str, pyenv.glob("versions/*/bin/python3")))
     own, found = os.path.realpath(sys.executable), {}
-    for minor in range(10, 14):
-        exe = shutil.which(f"python3.{minor}")
-        if exe is None:
-            continue
+    for exe in filter(None, candidates):
         try:
             result = subprocess.run(
                 [exe, "-c", probe], capture_output=True, text=True, timeout=60
             )
         except (OSError, subprocess.TimeoutExpired):
             continue
-        usable, _, path = result.stdout.partition("\n")
+        minor, _, path = result.stdout.partition("\n")
         path = path.rstrip("\n")
-        if result.returncode == 0 and usable == "True" and path != own:
-            found.setdefault(path, exe)
+        if result.returncode == 0 and minor.isdigit() and path != own:
+            found.setdefault(minor, exe)
     return list(found.values())
 
 
@@ -752,7 +755,7 @@ def run_children(argvs, options=()):
     none starts."""
     interpreters = other_cpythons()
     if not interpreters:
-        pytest.skip("no other CPython >= 3.10 starts from PATH")
+        pytest.skip("no other CPython 3.10 .. 3.13 starts from PATH or pyenv")
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     runs = []

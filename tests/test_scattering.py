@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import sys
 
@@ -35,7 +37,6 @@ def grid_problems():
 
 
 momenta = st.floats(min_value=1e-3, max_value=1e3)
-log_uniform = st.floats(min_value=-300.0, max_value=300.0).map(lambda t: 10.0**t)
 log_ratios = st.floats(min_value=-6.0, max_value=6.0)
 
 
@@ -136,22 +137,39 @@ class TestScatteringProblem:
             -1.0, abs=5e-16
         )
 
+    def test_no_attribute_can_be_set(self):
+        problem = ScatteringProblem(k=1.0, e0=-2.5)
+        assert ScatteringProblem.__slots__ == () and not hasattr(problem, "__dict__")
+        for name in ("mu", "_mu", "_x", "_log_x", "sigma"):
+            with pytest.raises(AttributeError):
+                setattr(problem, name, 1.0)
 
-    @given(log_uniform, log_uniform)
-    def test_derived_scales_are_the_expressions_computed_once(self, k, minus_e0):
-        e0 = -minus_e0
-        problem = ScatteringProblem(k=k, e0=e0)
-        mu = math.sqrt(-e0)
-        x = mu / k
-        if sys.float_info.min <= x < math.inf:
-            log_x = math.log(x)
-        else:
-            log_x = math.log(mu) - math.log(k)
-        stored = (problem.bound_state_scale, problem.x, problem.log_x)
-        assert [v.hex() for v in stored] == [v.hex() for v in (mu, x, log_x)]
-        assert repr(problem) == f"ScatteringProblem(k={k!r}, e0={e0!r})"
-        assert problem == ScatteringProblem(k=k, e0=e0)
-        assert hash(problem) == hash((k, e0))
+    def test_derived_scales_are_the_expressions_on_each_copy(self):
+        rng = random.Random(24)
+        for _ in range(2000):
+            k = 10.0 ** rng.uniform(-300.0, 300.0)
+            e0 = -((10.0 ** rng.uniform(-150.0, 150.0)) ** 2)
+            problem = ScatteringProblem(k=k, e0=e0)
+            mu = math.sqrt(-e0)
+            x = mu / k
+            if sys.float_info.min <= x < math.inf:
+                log_x = math.log(x)
+            else:
+                log_x = math.log(mu) - math.log(k)
+            expected = [v.hex() for v in (mu, x, log_x)]
+            copies = (
+                problem,
+                pickle.loads(pickle.dumps(problem)),
+                copy.deepcopy(problem),
+                problem._replace(),
+                problem._replace(k=k),
+            )
+            for same in copies:
+                assert type(same) is ScatteringProblem and same == problem
+                derived = (same.bound_state_scale, same.x, same.log_x)
+                assert [v.hex() for v in derived] == expected
+            assert repr(problem) == f"ScatteringProblem(k={k!r}, e0={e0!r})"
+            assert hash(problem) == hash((k, e0))
         assert ScatteringProblem._fields == ("k", "e0")
 
 

@@ -229,6 +229,43 @@ def test_subnormal_arguments_against_mpmath(z):
     assert hankel1_0_small_z(z) == pytest.approx(complex(1.0, y0), rel=1e-10)
 
 
+# The double nearest Y0's first zero 0.89357696627916752...  Y0 there is
+# about -2.3e-17 and bessel_y0 returns 0.0, so near it Y0 has an absolute
+# bound, not a relative one.
+Y0_ZERO = 0.8935769662791675
+
+# In units of 2^-52 |f| for J0 and K0, and of 2^-52 max(|Y0|, 1) for Y0:
+# at least twice the worst of 8 000 draws like the test's at seeds 7 and 24
+# (J0 2.76, K0 33.0, Y0 2.40; 0.36 within 2e-6 of Y0_ZERO).
+KERNEL_ERROR_BOUNDS = {"j0": 6.0, "k0": 80.0, "y0": 5.0}
+
+
+def test_kernel_error_bounds_against_mpmath():
+    """J0, Y0 and K0 against mpmath at 40 digits on 1 000 seeded z, half
+    log-uniform on [1e-300, 2] and half uniform on (0, 2]; Y0 also on 100
+    seeded z within 2e-6 of Y0_ZERO and the 72 doubles around it."""
+    rng = random.Random(24)
+    zs = []
+    for _ in range(500):
+        zs.append(min(2.0, 10.0 ** rng.uniform(-300.0, math.log10(2.0))))
+        zs.append(2.0 * (1.0 - rng.random()))
+    near_zero = [Y0_ZERO + rng.uniform(-2e-6, 2e-6) for _ in range(100)]
+    near_zero += [Y0_ZERO + i * math.ulp(Y0_ZERO) for i in range(-36, 36)]
+    worst = dict.fromkeys(KERNEL_ERROR_BOUNDS, 0.0)
+    with mp.workdps(40):
+        for z in zs:
+            j0, k0 = mp.besselj(0, z), mp.besselk(0, z)
+            worst["j0"] = max(worst["j0"], abs(bessel_j0(z) - j0) / abs(j0))
+            worst["k0"] = max(worst["k0"], abs(bessel_k0(z) - k0) / k0)
+        for z in zs + near_zero:
+            y0 = mp.bessely(0, z)
+            worst["y0"] = max(worst["y0"], abs(bessel_y0(z) - y0) / max(abs(y0), 1))
+    in_units = {name: float(error) / 2.0**-52 for name, error in worst.items()}
+    assert {
+        name: units for name, units in in_units.items() if units > KERNEL_ERROR_BOUNDS[name]
+    } == {}
+
+
 def test_asymptotic_consistency_order():
     grid = [1e-1, 1e-2, 1e-3, 1e-4]
     previous = None
