@@ -24,7 +24,6 @@ from .scattering import (
     cross_section_closed,
     cross_section_partial_wave,
     s_wave_phase_shift,
-    sin_sq_from_tan,
 )
 from .special_functions import (
     EULER_GAMMA,
@@ -61,5 +60,4 @@ __all__ = [
     "mead_godines_wrong_limit",
     "regularized_cross_section",
     "s_wave_phase_shift",
-    "sin_sq_from_tan",
 ]

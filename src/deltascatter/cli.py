@@ -220,10 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: a parser per call is cyclic garbage that only gc.collect frees.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags and 0 on --help; surface either
         # as a return value so callers always get an int.

@@ -132,12 +132,12 @@ def _sigma_trace(
 ) -> Iterator[tuple[float, float]]:
     """(eps, sigma(eps)) per cutoff: one loop that reads problem and mode once."""
     k, mu, e0 = problem.k, problem.bound_state_scale, problem.e0
-    full, truncated = mode is _FULL, mode is _TRUNCATED_LOG
+    full = mode is _FULL
     # Beyond FULL's series and the bound z_max, the modes differ only in c
     # (ln(c z)), g and H0's real part; TRUNCATED_LOG drops ln 2, gamma and 1.
     if full or mode is _ASYMPTOTIC:
         z_max, c, g, h0_real = SERIES_Z_MAX, 0.5, EULER_GAMMA, 1.0
-    elif truncated:
+    elif mode is _TRUNCATED_LOG:
         z_max, c, g, h0_real = _FLOAT_MAX, 1.0, 0.0, 0.0
     else:
         raise ValidationError(f"unknown regularization mode: {mode!r}")
@@ -160,9 +160,10 @@ def _sigma_trace(
         bracket_re = _INV_TWO_PI * k0_value + 0.25 * h0_imag
         bracket_im = -0.25 * h0_real
         modulus_sq = bracket_re * bracket_re + bracket_im * bracket_im
-        if modulus_sq == 0.0 and truncated:
-            # The two bare logs can round equal off resonance (|ln x| up to
-            # about 4e-15); their exact difference -ln x vanishes only at it.
+        if modulus_sq == 0.0:
+            # Only TRUNCATED_LOG gets here (|Im bracket| is J0(k eps)/4 >= 0.0559
+            # in FULL, 1/4 in ASYMPTOTIC): its two bare logs can round equal off
+            # resonance, |ln x| up to about 4e-15, but -ln x vanishes only at it.
             modulus_sq = (_INV_TWO_PI * problem.log_x) ** 2
         if modulus_sq == 0.0:
             raise SingularityError(

@@ -136,21 +136,6 @@ def s_wave_phase_shift(problem: ScatteringProblem) -> PhaseShift:
     return PhaseShift(_delta0(problem.log_x))
 
 
-def sin_sq_from_tan(tan_value: float) -> float:
-    """sin^2 from a tangent via sin^2 = t^2/(1 + t^2), overflow-safe.
-
-    For |t| > 1 the reciprocal form 1/(1 + 1/t^2) avoids overflowing t^2
-    prematurely, and maps math.inf (either sign), the marker for an
-    infinite tangent, to exactly 1.0.
-    """
-    if math.isnan(tan_value):
-        raise ValidationError("tan_value must not be NaN")
-    t_sq = tan_value * tan_value
-    if t_sq > 1.0:
-        return 1.0 / (1.0 + 1.0 / t_sq)
-    return t_sq / (1.0 + t_sq)
-
-
 def cross_section_partial_wave(problem: ScatteringProblem, m_max: int = 0) -> CrossSection:
     """Total cross section from the partial-wave sum (4/k) sum_m sin^2(delta_m).
 
@@ -158,8 +143,13 @@ def cross_section_partial_wave(problem: ScatteringProblem, m_max: int = 0) -> Cr
     |m| >= 1 term is exactly 0.0, and adding 0.0 leaves a float's bits
     unchanged.  So m_max is validated, but only m = 0 is summed, and the
     result is bit-identical for any m_max.
+
+    sin^2 = t^2/(1 + t^2), t = tan(delta_0), is 1/(1 + 1/t^2) for t^2 > 1,
+    not inf/inf once t^2 overflows: the resonant t = math.inf gives 1.0.
     """
     if not isinstance(m_max, int) or m_max < 0:
         raise ValidationError(f"m_max must be a non-negative integer, got {m_max!r}")
-    sin_sq = sin_sq_from_tan(_tan_delta0(problem.log_x))
+    t = _tan_delta0(problem.log_x)
+    t_sq = t * t
+    sin_sq = 1.0 / (1.0 + 1.0 / t_sq) if t_sq > 1.0 else t_sq / (1.0 + t_sq)
     return CrossSection(_checked_sigma(problem.k, problem.e0, 4.0 * sin_sq, 1.0))

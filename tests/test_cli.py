@@ -531,7 +531,7 @@ def test_limit_memory_is_flat_down_a_long_schedule(head):
     # has; all 2 000 or 8 000 cutoffs here are sampled, and only the longer
     # schedule meets the stop test.  A first short run fills the one-time
     # caches (argparse's, re's) outside the trace, and collecting first keeps
-    # the parsers' cycles from freeing mid-trace.
+    # earlier garbage from freeing mid-trace.
     head = head + [
         "--k", "1", "--e0=-1", "--eps-factor", "0.999", "--output", os.devnull,
         "--eps-count",
@@ -549,6 +549,26 @@ def test_limit_memory_is_flat_down_a_long_schedule(head):
         peaks.append(peak)
     assert codes == [EXIT_NO_CONVERGENCE, EXIT_OK]
     assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0], peaks
+
+
+def test_main_leaves_no_cyclic_garbage(capsys):
+    # The parser is built once at import, so a call leaves no cycle of
+    # objects that only the collector could free.
+    argv = ["cross-section", "--k", "1", "--e0=-1"]
+    main(argv)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        held, _ = tracemalloc.get_traced_memory()
+        collected = gc.collect()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held < 8 * 1024
+    assert collected == 0
+    capsys.readouterr()
 
 
 class TestSweep:

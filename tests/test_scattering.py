@@ -6,7 +6,7 @@ import sys
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from deltascatter.errors import DomainError, ValidationError
@@ -20,7 +20,6 @@ from deltascatter.scattering import (
     cross_section_closed,
     cross_section_partial_wave,
     s_wave_phase_shift,
-    sin_sq_from_tan,
 )
 
 GRID_K = [0.1, 0.5, 1.0, 2.0, 10.0]
@@ -224,36 +223,15 @@ class TestPhaseShift:
         assert sigma == pytest.approx(cross_section_closed(problem).sigma, rel=1e-12)
 
 
-class TestSinSqFromTan:
-    def test_trivial_points(self):
-        assert sin_sq_from_tan(0.0) == 0.0
-        assert sin_sq_from_tan(1.0) == 0.5
-        assert sin_sq_from_tan(-1.0) == 0.5
-        assert sin_sq_from_tan(math.inf) == 1.0
-        assert sin_sq_from_tan(-math.inf) == 1.0
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValidationError):
-            sin_sq_from_tan(math.nan)
-
-    @given(st.floats(min_value=-1e300, max_value=1e300))
-    def test_range(self, t):
-        value = sin_sq_from_tan(t)
-        assert 0.0 <= value <= 1.0
-
-    @given(st.floats(min_value=-1e6, max_value=1e6))
-    def test_strictly_below_one_for_moderate_tan(self, t):
-        assert sin_sq_from_tan(t) < 1.0
-
-    @given(st.floats(min_value=-1e300, max_value=1e300))
-    def test_even(self, t):
-        assert sin_sq_from_tan(t) == sin_sq_from_tan(-t)
-
-
 class TestPartialWave:
-    def test_resonance_value_exact(self):
-        problem = ScatteringProblem(k=1.0, e0=-1.0)
-        assert cross_section_partial_wave(problem, m_max=5).sigma == 4.0
+    @given(st.floats(min_value=1e-150, max_value=1e150))
+    @example(1.0)
+    def test_resonance_value_exact(self, k):
+        # sqrt(k*k) is exactly k, so ln x is 0.0, tan(delta_0) is math.inf
+        # and sin^2 must come out exactly 1.0.
+        problem = ScatteringProblem(k=k, e0=-k * k)
+        assert problem.log_x == 0.0
+        assert cross_section_partial_wave(problem, m_max=5).sigma == 4.0 / k
 
     def test_matches_closed_example(self):
         problem = ScatteringProblem(k=1.0, e0=-math.exp(-math.pi))
@@ -283,21 +261,29 @@ class TestPartialWave:
                 assert partial == pytest.approx(closed, rel=1e-12)
 
 
+ROUTES = pytest.mark.parametrize(
+    "route", [cross_section_closed, cross_section_partial_wave]
+)
+
+
 class TestInvariants:
+    @ROUTES
     @given(problems())
-    def test_unitarity_bound(self, problem):
-        sigma = cross_section_closed(problem).sigma
+    def test_unitarity_bound(self, route, problem):
+        sigma = route(problem).sigma
         assert sigma * problem.k <= 4.0 * (1.0 + 1e-15)
 
-    def test_unitarity_strict_off_resonance(self):
+    @ROUTES
+    def test_unitarity_strict_off_resonance(self, route):
         for problem in grid_problems():
             if problem.log_x != 0.0:
-                assert cross_section_closed(problem).sigma * problem.k < 4.0
+                assert route(problem).sigma * problem.k < 4.0
 
+    @ROUTES
     @given(momenta, log_ratios)
-    def test_log_x_sign_symmetry(self, k, log_x):
-        sigma_plus = cross_section_closed(problem_at(k, log_x)).sigma
-        sigma_minus = cross_section_closed(problem_at(k, -log_x)).sigma
+    def test_log_x_sign_symmetry(self, route, k, log_x):
+        sigma_plus = route(problem_at(k, log_x)).sigma
+        sigma_minus = route(problem_at(k, -log_x)).sigma
         assert sigma_plus == pytest.approx(sigma_minus, rel=1e-12)
 
     def test_resonance_maximum(self):

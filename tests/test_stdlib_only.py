@@ -39,3 +39,36 @@ def test_every_import_is_stdlib():
 def test_pyproject_declares_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.findall(r"(?m)^dependencies\s*=.*$", text) == ["dependencies = []"]
+
+
+def test_public_surface_is_pinned():
+    # Imports the package, unlike the tests above: a name added to or taken
+    # from __all__ has to show up here as a deliberate diff.
+    import deltascatter
+
+    assert sorted(deltascatter.__all__) == [
+        "CrossSection",
+        "DomainError",
+        "EULER_GAMMA",
+        "EpsilonSchedule",
+        "LimitEstimate",
+        "PhaseShift",
+        "RegularizationMode",
+        "ScatteringProblem",
+        "SingularityError",
+        "ValidationError",
+        "bessel_j0",
+        "bessel_k0",
+        "bessel_y0",
+        "cross_section_closed",
+        "cross_section_partial_wave",
+        "hankel1_0",
+        "hankel1_0_small_z",
+        "k0_small_z",
+        "limit_extrapolate",
+        "mead_godines_wrong_limit",
+        "regularized_cross_section",
+        "s_wave_phase_shift",
+    ]
+    for name in deltascatter.__all__:
+        assert hasattr(deltascatter, name), name
