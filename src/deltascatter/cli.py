@@ -18,6 +18,7 @@ more for the rows as they are written.
 """
 
 import argparse
+import contextlib
 import io
 import itertools
 import math
@@ -233,14 +234,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         lines, estimate = args.run(args)
-        if args.output is None:
+        with (contextlib.nullcontext(sys.stdout) if args.output is None
+              else open(args.output, "w", encoding="ascii", newline="\n")) as handle:
             try:
-                sys.stdout.writelines(lines)
-            finally:
-                sys.stdout.flush()
-        else:
-            with open(args.output, "w", encoding="ascii", newline="\n") as handle:
                 handle.writelines(lines)
+            finally:
+                handle.flush()
     except ValidationError as exc:
         field, space, rest = str(exc).partition(" ")
         print(f"error: {_FLAGS.get(field, field)}{space}{rest}", file=sys.stderr)
@@ -254,11 +253,8 @@ def main(argv: list[str] | None = None) -> int:
         # A stdout with no descriptor, such as an in-process caller's
         # StringIO, has none to redirect, and the caller owns what it holds.
         if args.output is None:
-            try:
+            with contextlib.suppress(io.UnsupportedOperation):
                 stdout_fd = sys.stdout.fileno()
-            except io.UnsupportedOperation:
-                pass
-            else:
                 devnull = os.open(os.devnull, os.O_WRONLY)
                 os.dup2(devnull, stdout_fd)
                 os.close(devnull)

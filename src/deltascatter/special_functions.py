@@ -37,12 +37,11 @@ _NORMAL_MIN = sys.float_info.min
 _REL_FLOOR = 1e-16
 _MAX_TERMS = 60
 
-# m*m and the harmonic number h_m for m = 1 .. _MAX_TERMS - 1, built once:
-# m*m is exact as a double, and h_m is summed in increasing m as a
+# (m*m, h_m) for m = 1 .. _MAX_TERMS - 1, built once: m*m is exact as a
+# double, and the harmonic number h_m is summed in increasing m as a
 # term-by-term loop would sum it.
-_M_SQ = tuple(float(m * m) for m in range(1, _MAX_TERMS))
-_HARMONIC = tuple(itertools.accumulate(1.0 / m for m in range(1, _MAX_TERMS)))
-_TERMS = tuple(zip(_M_SQ, _HARMONIC))
+_TERMS = tuple((float(m * m), h_m) for m, h_m in enumerate(
+    itertools.accumulate(1.0 / m for m in range(1, _MAX_TERMS)), 1))
 
 
 def _require_series_domain(z: float, name: str) -> None:

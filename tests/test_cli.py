@@ -623,6 +623,17 @@ class TestSweep:
         assert err.startswith("error:")
 
 
+# Tables written to /dev/full, with their test ids.
+UNWRITABLE_ARGVS = [
+    ["cross-section", "--k", "1", "--e0", "-1"],
+    ["limit-study", "--k", "1", "--e0", "-1"],
+    ["sweep", "--e0=-1", "--k-min", "0.01", "--k-max", "100", "--points", "100000"],
+    # The first row fails with a DomainError while the header is buffered.
+    ["sweep", "--e0=-1", "--k-min", "1e-320", "--k-max", "1", "--points", "5"],
+]
+UNWRITABLE_IDS = ["cross-section", "limit-study", "sweep", "sweep-domain-error"]
+
+
 class TestOutputPlumbing:
     def test_output_file_matches_stdout_bytes(self, capsys, tmp_path):
         argv = ["sweep", "--e0", "-1", "--k-min", "0.5", "--k-max", "2", "--points", "3"]
@@ -653,17 +664,7 @@ class TestOutputPlumbing:
 
     @pytest.mark.skipif(not DEV_FULL.exists(), reason="no /dev/full")
     @pytest.mark.parametrize("target", ["stdout", "unbuffered-stdout", "--output"])
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["cross-section", "--k", "1", "--e0", "-1"],
-            ["limit-study", "--k", "1", "--e0", "-1"],
-            ["sweep", "--e0=-1", "--k-min", "0.01", "--k-max", "100", "--points", "100000"],
-            # The first row fails with a DomainError while the header is buffered.
-            ["sweep", "--e0=-1", "--k-min", "1e-320", "--k-max", "1", "--points", "5"],
-        ],
-        ids=["cross-section", "limit-study", "sweep", "sweep-domain-error"],
-    )
+    @pytest.mark.parametrize("argv", UNWRITABLE_ARGVS, ids=UNWRITABLE_IDS)
     def test_unwritable_output_exits_two(self, argv, target):
         env = dict(os.environ)
         env.pop("PYTHONUNBUFFERED", None)
@@ -821,6 +822,23 @@ def test_space_form_under_other_cpythons():
     assert failures == []
 
 
+@pytest.mark.skipif(not DEV_FULL.exists(), reason="no /dev/full")
+def test_unwritable_output_under_other_cpythons():
+    # --output's flush and close share stdout's write path; each Python's io
+    # must still raise one write error there, named once on stderr.
+    argvs = [tuple(argv) + ("--output", str(DEV_FULL)) for argv in UNWRITABLE_ARGVS]
+    message = (
+        f"error: --output {str(DEV_FULL)!r} cannot be written: "
+        f"{os.strerror(errno.ENOSPC)}\n"
+    ).encode()
+    failures = [
+        (exe, argv, code, err[-300:])
+        for exe, argv, code, out, err in run_children(argvs)
+        if (code, out, err) != (EXIT_VALIDATION, b"", message)
+    ]
+    assert failures == []
+
+
 def test_dev_mode_under_other_cpythons():
     # Annotations evaluate at definition time and build_parser sets a private
     # argparse attribute: a newer or older Python is where either would warn
@@ -869,6 +887,37 @@ def test_failed_write_to_a_stdout_without_descriptor(error, code, message):
     assert (result, err.getvalue()) == (code, message)
     if open_fds is not None:
         assert len(os.listdir(PROC_FD)) == open_fds
+
+
+def open_fd_count():
+    """Descriptors this process holds, or None where /proc is absent."""
+    return len(os.listdir(PROC_FD)) if PROC_FD.exists() else None
+
+
+# The file side of main's one write path, which otherwise only children reach.
+@pytest.mark.skipif(not DEV_FULL.exists(), reason="no /dev/full")
+def test_unwritable_output_file_in_process(capsys):
+    open_fds = open_fd_count()
+    result = main(["cross-section", "--k", "1", "--e0", "-1", "--output", str(DEV_FULL)])
+    assert (result, *capsys.readouterr()) == (
+        EXIT_VALIDATION, "",
+        f"error: --output {str(DEV_FULL)!r} cannot be written: {os.strerror(errno.ENOSPC)}\n",
+    )
+    assert open_fd_count() == open_fds
+
+
+def test_row_error_to_an_output_file_in_process(capsys, tmp_path):
+    target = tmp_path / "table.csv"
+    open_fds = open_fd_count()
+    result = main(["sweep", "--e0=-1", "--k-min", "1e-320", "--k-max", "1",
+                   "--points", "5", "--output", str(target)])
+    # The first row fails with a DomainError while the header is buffered.
+    assert (result, *capsys.readouterr(), target.read_text()) == (
+        EXIT_DOMAIN, "",
+        "error: the cross section at k=1e-320, e0=-1.0 exceeds the largest double\n",
+        "k,ln_x,delta0,sigma,sigma_times_k\n",
+    )
+    assert open_fd_count() == open_fds
 
 
 def flag_rows(parser):

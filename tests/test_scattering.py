@@ -14,6 +14,7 @@ from deltascatter.regularization import (
     EpsilonSchedule,
     RegularizationMode,
     limit_extrapolate,
+    mead_godines_wrong_limit,
 )
 from deltascatter.scattering import (
     ScatteringProblem,
@@ -390,6 +391,55 @@ def asymptotic_error_model(problem, eps):
         math.log(problem.k) + log_half_eps
     )
     return (2.0 * abs(log_x) * logs / (log_x * log_x + math.pi**2 / 4) + 16.0) * 2.0**-53
+
+
+def truncated_log_error_model(problem, eps):
+    """Relative gap TRUNCATED_LOG's sigma(eps) can carry from rounding, to
+    mead_godines_wrong_limit.
+
+    Its bracket's real part is the difference of the two bare logs
+    ln(mu eps) and ln(k eps), which is L = ln x up to rounding.  Each log is
+    rounded to within 2^-53 of its size, and its product mu*eps or k*eps to
+    within 2^-53 relative, which the log turns into 2^-53 absolute: the 2.
+    sigma goes as 1/L^2, doubling the relative error of L, on top of 16 * 2^-53
+    for the arithmetic after the logs.  Near resonance, where this exceeds
+    about 1e-2, a sample is rounding noise.
+    """
+    log_eps = math.log(eps)
+    logs = abs(math.log(problem.bound_state_scale) + log_eps) + abs(
+        math.log(problem.k) + log_eps
+    )
+    return (2.0 * (logs + 2.0) / abs(problem.log_x) + 16.0) * 2.0**-53
+
+
+def test_truncated_log_samples_within_their_rounding_model():
+    """9 000 seeded draws: k log-uniform on [1e-300, 1e300] and mu on
+    [1e-150, 1e150], and three draws in ten with |ln x| log-uniform on
+    [1e-14, 1].  Every sample down default_for whose model is at most 1e-2
+    is within twice truncated_log_error_model of mead_godines_wrong_limit."""
+    rng = random.Random(7)
+
+    def log_uniform(low, high):
+        return math.exp(rng.uniform(math.log(low), math.log(high)))
+
+    worst_over_model, samples = 0.0, 0
+    for _ in range(9_000):
+        if rng.random() < 0.3:
+            mu = log_uniform(1e-150, 1e150)
+            k = mu * math.exp(rng.choice((-1.0, 1.0)) * log_uniform(1e-14, 1.0))
+        else:
+            k, mu = log_uniform(1e-300, 1e300), log_uniform(1e-150, 1e150)
+        problem = ScatteringProblem(k=k, e0=-mu * mu)
+        wrong_limit = mead_godines_wrong_limit(problem)
+        schedule = EpsilonSchedule.default_for(problem)
+        estimate = limit_extrapolate(problem, schedule, RegularizationMode.TRUNCATED_LOG)
+        for eps, sigma in estimate.samples:
+            model = truncated_log_error_model(problem, eps)
+            if model <= 1e-2:
+                samples += 1
+                worst_over_model = max(worst_over_model, abs(sigma / wrong_limit - 1) / model)
+    assert samples > 50_000
+    assert worst_over_model <= 2.0
 
 
 def test_accuracy_contract_against_mpmath():

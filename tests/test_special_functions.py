@@ -351,11 +351,12 @@ def test_series_tables_are_the_loop_values():
         m_sq.append(m * m)
         harmonic += 1.0 / m
         h.append(harmonic)
-    assert [v.hex() for v in special_functions._M_SQ] == [float(v).hex() for v in m_sq]
-    assert [v.hex() for v in special_functions._HARMONIC] == [v.hex() for v in h]
+    table_m_sq, table_h = zip(*special_functions._TERMS)
+    assert [v.hex() for v in table_m_sq] == [float(v).hex() for v in m_sq]
+    assert [v.hex() for v in table_h] == [v.hex() for v in h]
     # Dividing by the table's double is dividing by the int m*m.
     for q in (0.25, 1.0 / 3.0, 1e-300):
-        assert [q / v for v in special_functions._M_SQ] == [q / v for v in m_sq]
+        assert [q / v for v in table_m_sq] == [q / v for v in m_sq]
 
 
 KERNELS_SHA256 = "a4fe54e5b6627a4f80bb90166b2dfb21e987224eb1edc83cf87ded3915d46e9b"
