@@ -8,7 +8,7 @@ wrong limit, so the failure can be demonstrated and quantified rather
 than just avoided.
 """
 
-from .errors import DomainError, SingularityError, ValidationError
+from .errors import DomainError, ValidationError
 from .regularization import (
     EpsilonSchedule,
     LimitEstimate,
@@ -46,7 +46,6 @@ __all__ = [
     "PhaseShift",
     "RegularizationMode",
     "ScatteringProblem",
-    "SingularityError",
     "ValidationError",
     "bessel_j0",
     "bessel_k0",

@@ -28,7 +28,7 @@ import sys
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 
-from .errors import DomainError, SingularityError, ValidationError
+from .errors import DomainError, ValidationError
 from .regularization import (
     EpsilonSchedule, LimitEstimate, RegularizationMode, _fold_limit, _sigma_trace
 )
@@ -244,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
         field, space, rest = str(exc).partition(" ")
         print(f"error: {_FLAGS.get(field, field)}{space}{rest}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (DomainError, SingularityError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:

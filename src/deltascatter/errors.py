@@ -6,8 +6,5 @@ class ValidationError(ValueError):
 
 
 class DomainError(ValueError):
-    """An argument lies outside a function's documented accuracy domain."""
-
-
-class SingularityError(ArithmeticError):
-    """An evaluation hit a genuine singularity and has no finite answer."""
+    """No finite double answer at this argument: outside a function's accuracy
+    domain, at a singular point, or beyond the largest double."""

@@ -31,7 +31,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
-from .errors import DomainError, SingularityError, ValidationError
+from .errors import DomainError, ValidationError
 from .scattering import ScatteringProblem, _checked_sigma
 from .special_functions import (
     EULER_GAMMA, SERIES_Z_MAX, TWO_OVER_PI, _h0_sum, _k0_sum, _log_product
@@ -167,7 +167,7 @@ def _sigma_trace(
             # resonance, |ln x| up to about 4e-15, but -ln x vanishes only at it.
             modulus_sq = (_INV_TWO_PI * problem.log_x) ** 2
         if modulus_sq == 0.0:
-            raise SingularityError(
+            raise DomainError(
                 "the regularizing bracket vanished; sigma(eps) is undefined here"
             )
         yield eps, _checked_sigma(k, e0, 1.0, 4.0 * modulus_sq)
@@ -216,14 +216,13 @@ def mead_godines_wrong_limit(problem: ScatteringProblem) -> float:
     pi^2/(k (ln x)^2) exceeds the true cross section by the factor
     (pi^2 + 4 (ln x)^2)/(4 (ln x)^2): keeping only the bare logarithms
     erases the pi^2 in the denominator, and the two expressions agree
-    only as |ln x| -> infinity.  At resonance (ln x = 0) this expression
-    diverges while the true cross section stays finite at 4/k, so that
-    case raises SingularityError, and one beyond the largest double
-    DomainError.
+    only as |ln x| -> infinity.  DomainError at resonance (ln x = 0), where
+    it diverges while the true cross section stays 4/k, or beyond the
+    largest double.
     """
     log_x = problem.log_x
     if log_x == 0.0:
-        raise SingularityError(
+        raise DomainError(
             "the truncated-log limit diverges at resonance (ln x = 0)"
         )
     return _checked_sigma(problem.k, problem.e0, math.pi * math.pi, log_x * log_x)

@@ -718,6 +718,8 @@ def test_dev_mode_runs_raise_no_warning(tmp_path):
           "--eps-factor", "0.001", "--output", str(unwritten)], EXIT_DOMAIN),
         (["cross-section", "--k", "1", "--e0=-1",
           "--output", str(tmp_path / "missing" / "x")], EXIT_VALIDATION),
+        (["cross-section", "--k", "1", "--e0=-1", "--method", "limit",
+          "--mode", "truncated-log"], EXIT_DOMAIN),
     ]
     results = []
     for argv, expected in runs:
@@ -843,15 +845,21 @@ def test_dev_mode_under_other_cpythons():
     # Annotations evaluate at definition time and build_parser sets a private
     # argparse attribute: a newer or older Python is where either would warn
     # first.
-    argvs = [
-        ("cross-section", "--k", "1", "--e0=-1", "--method", "limit"),
-        ("limit-study", "--k", "1", "--e0=-1"),
-        ("sweep", "--e0=-1", "--k-min", "0.5", "--k-max", "2"),
-    ]
+    expected = {
+        ("cross-section", "--k", "1", "--e0=-1", "--method", "limit"): (EXIT_OK, b""),
+        ("limit-study", "--k", "1", "--e0=-1"): (EXIT_OK, b""),
+        ("sweep", "--e0=-1", "--k-min", "0.5", "--k-max", "2"): (EXIT_OK, b""),
+        ("cross-section", "--k", "1", "--e0=-1", "--method", "limit",
+         "--mode", "truncated-log"): (
+            EXIT_DOMAIN,
+            b"error: the regularizing bracket vanished; sigma(eps) is undefined here\n",
+        ),
+    }
+    runs = run_children(list(expected), ("-X", "dev", "-W", "error"))
     failures = [
         (exe, argv, code, err[-300:])
-        for exe, argv, code, out, err in run_children(argvs, ("-X", "dev", "-W", "error"))
-        if (code, err) != (EXIT_OK, b"")
+        for exe, argv, code, out, err in runs
+        if (code, err) != expected[argv]
     ]
     assert failures == []
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from deltascatter.errors import DomainError, SingularityError, ValidationError
+from deltascatter.errors import DomainError, ValidationError
 from deltascatter.regularization import (
     EpsilonSchedule,
     RegularizationMode,
@@ -309,7 +309,7 @@ class TestRegularizedCrossSection:
             assert sigma_alt == pytest.approx(sigma, rel=1e-12)
 
     def test_truncated_singular_at_resonance(self):
-        with pytest.raises(SingularityError):
+        with pytest.raises(DomainError, match="bracket vanished"):
             regularized_cross_section(
                 problem_at(1.5, 0.0), 1e-3, RegularizationMode.TRUNCATED_LOG
             )
@@ -343,7 +343,7 @@ class TestRegularizedCrossSection:
                 expected, rel=1e-12
             )
         elif expected is None:
-            with pytest.raises(SingularityError):
+            with pytest.raises(DomainError, match="bracket vanished"):
                 regularized_cross_section(problem, eps, mode)
         else:
             assert regularized_cross_section(problem, eps, mode) == expected
@@ -586,7 +586,7 @@ def _outcome(function, *args):
     an error as its type and message."""
     try:
         result = function(*args)
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         return f"{type(exc).__name__}: {exc}"
     if isinstance(result, float):
         return result.hex()
@@ -637,7 +637,7 @@ class TestWrongLimit:
         )
 
     def test_singular_at_resonance(self):
-        with pytest.raises(SingularityError):
+        with pytest.raises(DomainError, match="diverges at resonance"):
             mead_godines_wrong_limit(problem_at(1.0, 0.0))
 
     def test_overshoot_factor(self):

@@ -36,6 +36,27 @@ def test_every_import_is_stdlib():
     assert [row for row in sorted(imports) if row[1] not in sys.stdlib_module_names] == []
 
 
+def test_every_raise_names_an_error_main_handles():
+    # main turns ValidationError into exit 2 and DomainError into exit 4;
+    # a third type or a bare ValueError would escape it as a traceback.
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    classes = {
+        node.name: [ast.unparse(base) for base in node.bases]
+        for node in ast.walk(errors)
+        if isinstance(node, ast.ClassDef)
+    }
+    assert classes == {"ValidationError": ["ValueError"], "DomainError": ["ValueError"]}
+    raised = [
+        (path.name, node.lineno,
+         node.exc and ast.unparse(getattr(node.exc, "func", node.exc)))
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise)
+    ]
+    assert raised
+    assert [row for row in raised if row[2] not in classes] == []
+
+
 def test_pyproject_declares_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.findall(r"(?m)^dependencies\s*=.*$", text) == ["dependencies = []"]
@@ -55,7 +76,6 @@ def test_public_surface_is_pinned():
         "PhaseShift",
         "RegularizationMode",
         "ScatteringProblem",
-        "SingularityError",
         "ValidationError",
         "bessel_j0",
         "bessel_k0",
