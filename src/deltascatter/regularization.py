@@ -32,7 +32,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
 from .errors import DomainError, ValidationError
-from .scattering import ScatteringProblem, _checked_sigma
+from .scattering import _PI_SQ, ScatteringProblem, _checked_sigma
 from .special_functions import (
     EULER_GAMMA, SERIES_Z_MAX, TWO_OVER_PI, _h0_sum, _k0_sum, _log_product
 )
@@ -51,10 +51,6 @@ class RegularizationMode(enum.Enum):
     FULL = "full"
     ASYMPTOTIC = "asymptotic"
     TRUNCATED_LOG = "truncated-log"
-
-
-# Speed: 3 reads of these take 11.9 ns, of RegularizationMode.X 331 ns (CPython 3.11.7)
-_FULL, _ASYMPTOTIC, _TRUNCATED_LOG = RegularizationMode  # in definition order
 
 
 class EpsilonSchedule(namedtuple("EpsilonSchedule", "eps_start factor count")):
@@ -133,12 +129,12 @@ def _sigma_trace(
 ) -> Iterator[tuple[float, float]]:
     """(eps, sigma(eps)) per cutoff: one loop that reads problem and mode once."""
     k, mu, e0 = problem.k, problem.bound_state_scale, problem.e0
-    full = mode is _FULL
+    full = mode is RegularizationMode.FULL
     # Beyond FULL's series and the bound z_max, the modes differ only in c
     # (ln(c z)), g and H0's real part; TRUNCATED_LOG drops ln 2, gamma and 1.
-    if full or mode is _ASYMPTOTIC:
+    if full or mode is RegularizationMode.ASYMPTOTIC:
         z_max, c, g, h0_real = SERIES_Z_MAX, 0.5, EULER_GAMMA, 1.0
-    elif mode is _TRUNCATED_LOG:
+    elif mode is RegularizationMode.TRUNCATED_LOG:
         z_max, c, g, h0_real = _FLOAT_MAX, 1.0, 0.0, 0.0
     else:
         raise ValidationError(f"unknown regularization mode: {mode!r}")
@@ -225,4 +221,4 @@ def mead_godines_wrong_limit(problem: ScatteringProblem) -> float:
         raise DomainError(
             "the truncated-log limit diverges at resonance (ln x = 0)"
         )
-    return _checked_sigma(problem.k, problem.e0, math.pi * math.pi, log_x * log_x)
+    return _checked_sigma(problem.k, problem.e0, _PI_SQ, log_x * log_x)

@@ -14,13 +14,12 @@ are implemented here so they can be checked against each other.
 """
 
 import math
-import sys
 from collections import namedtuple
 
 from .errors import DomainError, ValidationError
+from .special_functions import _NORMAL_MIN
 
 _PI_SQ = math.pi * math.pi
-_NORMAL_MIN = sys.float_info.min
 
 
 class ScatteringProblem(namedtuple("ScatteringProblem", "k e0")):
@@ -62,7 +61,7 @@ class ScatteringProblem(namedtuple("ScatteringProblem", "k e0")):
 
 
 def _ln_x(mu: float, k: float) -> float:
-    """ln(mu/k); ln(mu) - ln(k) where mu/k is inf or not a normal double."""
+    """ln(mu/k); ln(mu) - ln(k) where mu/k is inf or below _NORMAL_MIN."""
     x = mu / k
     if _NORMAL_MIN <= x < math.inf:
         return math.log(x)

@@ -11,8 +11,8 @@ Each public function checks z, then calls the only kernels, which check
 nothing: _ladder, q^m/(m!)^2 summed with and without the harmonic weights
 h_m, and _h0_sum (J0 and Y0) and _k0_sum, which read it at q = -z^2/4 or
 z^2/4, need 0 <= z <= SERIES_Z_MAX, and at z = 0 give the two-term forms.
-They take ln(z/2) from the caller, as _log_product(a, eps, 0.5) for
-z = a*eps, which owns the rule for a product off the normal doubles.
+They take ln(z/2) from the caller, as _log_product(a, eps, 0.5) for z = a*eps.
+_NORMAL_MIN is the one normal-double floor, read there and by scattering._ln_x.
 """
 
 import itertools

@@ -1,15 +1,17 @@
 """Every program name that the benchmark's tracer and layer tables look up.
 
 bench/tracer.py lists a name it cannot find as absent, and its metric then
-reads null, which bench/test_smoke.py lets through on traced runs.  So a
-renamed function would drop a per-layer metric without failing a test.
-This reads those tables from the bench sources, without running them, and
-checks that each name still resolves.
+reads null, which bench/test_smoke.py lets through on traced runs; so does
+LayerSuite.timed in bench/layers.py.  So a renamed function would drop a
+per-layer metric without failing a test.  This reads those tables and every
+self.timed call from the bench sources, without running them, and checks
+that each name still resolves.
 """
 
 import ast
 import importlib
 import pathlib
+import pkgutil
 
 import pytest
 
@@ -56,3 +58,49 @@ def test_traced_class_attribute_exists(span, module, cls, attr):
 def test_timed_kernel_exists(name):
     special_functions = importlib.import_module("deltascatter.special_functions")
     assert callable(getattr(special_functions, name, None))
+
+
+def _timed_calls():
+    """(owner, attr) of every self.timed(name, unit, owner, attr, ...) call in
+    bench/layers.py, the owner as a dotted path through its import aliases
+    and local assignments (`sc = ds.scattering`), and an attr that is a loop
+    variable expanded over its loop's tuple or module-level table."""
+    tree = ast.parse((BENCH / "layers.py").read_text(encoding="utf-8"))
+    aliases, calls = {}, []
+
+    def dotted(expr):
+        root, *rest = ast.unparse(expr).split(".")
+        return ".".join([aliases[root], *rest]) if root in aliases else None
+
+    def visit(node, loops):
+        if isinstance(node, ast.Import):
+            aliases.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            if isinstance(node.value, ast.Attribute) and dotted(node.value):
+                aliases[node.targets[0].id] = dotted(node.value)
+        elif isinstance(node, ast.For) and isinstance(node.target, ast.Name):
+            loops = {**loops, node.target.id: node.iter}
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "self.timed":
+            owner, attr = node.args[2:4]
+            path = dotted(owner)
+            if isinstance(attr, ast.Constant):
+                names = [attr.value]
+            elif isinstance(loops[attr.id], ast.Name):
+                names = _table("layers.py", loops[attr.id].id)
+            else:
+                names = ast.literal_eval(loops[attr.id])
+            calls.extend((path, name) for name in names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, loops)
+
+    visit(tree, {})
+    return calls
+
+
+TIMED = _timed_calls()
+
+
+@pytest.mark.parametrize("owner, attr", TIMED, ids=[f"{o}.{a}" for o, a in TIMED])
+def test_timed_attribute_exists(owner, attr):
+    # LayerSuite.timed reports a metric as null when this getattr is None.
+    assert getattr(pkgutil.resolve_name(owner), attr, None) is not None
