@@ -54,12 +54,6 @@ def test_traced_class_attribute_exists(span, module, cls, attr):
     assert attr in vars(owner)
 
 
-@pytest.mark.parametrize("name", _table("layers.py", "KERNELS"))
-def test_timed_kernel_exists(name):
-    special_functions = importlib.import_module("deltascatter.special_functions")
-    assert callable(getattr(special_functions, name, None))
-
-
 def _timed_calls():
     """(owner, attr) of every self.timed(name, unit, owner, attr, ...) call in
     bench/layers.py, the owner as a dotted path through its import aliases
@@ -102,5 +96,7 @@ TIMED = _timed_calls()
 
 @pytest.mark.parametrize("owner, attr", TIMED, ids=[f"{o}.{a}" for o, a in TIMED])
 def test_timed_attribute_exists(owner, attr):
-    # LayerSuite.timed reports a metric as null when this getattr is None.
-    assert getattr(pkgutil.resolve_name(owner), attr, None) is not None
+    # LayerSuite.timed reports a metric as null when this getattr is None;
+    # what it times is a call, or a property's access.
+    timed = getattr(pkgutil.resolve_name(owner), attr, None)
+    assert isinstance(timed, property) or callable(timed)

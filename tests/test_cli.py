@@ -45,6 +45,7 @@ from deltascatter.scattering import (
     cross_section_closed,
     s_wave_phase_shift,
 )
+from support import log_uniform
 
 E0_LOG_X_ONE = -math.e**2  # ln x = 1 at k = 1
 DEV_FULL = pathlib.Path("/dev/full")  # a device on which every write fails
@@ -685,23 +686,6 @@ class TestOutputPlumbing:
             f"error: {where} cannot be written: {os.strerror(errno.ENOSPC)}\n",
         )
 
-    def test_determinism_across_runs(self, capsys):
-        argv = ["limit-study", "--k", "2", "--e0", "-4", "--mode", "full"]
-        _, first, _ = run_cli(capsys, argv)
-        _, second, _ = run_cli(capsys, argv)
-        assert first == second
-
-    def test_module_invocation_matches_in_process(self, capsys):
-        argv = ["cross-section", "--k", "1", "--e0", "-1"]
-        _, out, _ = run_cli(capsys, argv)
-        result = subprocess.run(
-            [sys.executable, "-m", "deltascatter"] + argv,
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == EXIT_OK
-        assert result.stdout == out
-
 
 def test_dev_mode_runs_raise_no_warning(tmp_path):
     """python -X dev -W error -m deltascatter exits as documented, with no
@@ -1121,10 +1105,6 @@ class TestStreamedSweep:
         proc.stderr.close()
         assert head.startswith(b"k,ln_x,delta0,sigma,sigma_times_k\n")
         assert (code, err) == (EXIT_OK, b"")
-
-
-def log_uniform(low, high):
-    return st.floats(math.log(low), math.log(high)).map(math.exp)
 
 
 def sweep_by_object_api(e0, k_min, k_max, points):

@@ -27,22 +27,12 @@ from deltascatter.special_functions import (
     hankel1_0_small_z,
     k0_small_z,
 )
-
-PI_SQ = 9.869604401089358
-
-
-def problem_at(k, log_x):
-    return ScatteringProblem(k=k, e0=-((k * math.exp(log_x)) ** 2))
-
+from support import PI_SQ, draw_log_uniform, log_uniform, problem_at
 
 momenta = st.floats(min_value=0.1, max_value=10.0)
 log_ratios = st.floats(min_value=-3.0, max_value=3.0)
 cutoffs = st.floats(min_value=1e-8, max_value=1e-3)
 modes = st.sampled_from(list(RegularizationMode))
-
-
-def log_uniform(low, high):
-    return st.floats(math.log(low), math.log(high)).map(math.exp)
 
 
 # (k, mu): both on [1e-3, 1e3], or k anywhere on [1e-150, 1e150] with
@@ -128,17 +118,14 @@ class TestEpsilonSchedule:
         positive with max(k, mu)*eps at most 7e-6, and seven at most."""
         rng = random.Random(29)
 
-        def log_uniform(low, high):
-            return math.exp(rng.uniform(math.log(low), math.log(high)))
-
         def draws():
             yield from [(sys.float_info.max, 1.0), (1e300, 1e-150), (1e-300, 1e150)]
             for i in range(200_000):
-                mu = log_uniform(1e-150, 1e150)
+                mu = draw_log_uniform(rng, 1e-150, 1e150)
                 if i % 5 == 0:
                     yield mu * math.exp(rng.uniform(-1e-3, 1e-3)), mu
                 else:
-                    yield log_uniform(1e-300, 1e300), mu
+                    yield draw_log_uniform(rng, 1e-300, 1e300), mu
 
         largest = 0
         for k, mu in draws():
@@ -591,7 +578,7 @@ def test_predicted_gap_explains_the_default_stop():
     rng = random.Random(22)
     matched, worst_match, next_to_last, last = 0, 0.0, 0.0, 0.0
     for _ in range(3_000):
-        k, mu = (math.exp(rng.uniform(math.log(1e-3), math.log(1e3))) for _ in range(2))
+        k, mu = (draw_log_uniform(rng, 1e-3, 1e3) for _ in range(2))
         problem = ScatteringProblem(k=k, e0=-mu * mu)
         scale = max(problem.k, problem.bound_state_scale)
         sigma = cross_section_closed(problem).sigma
@@ -646,12 +633,11 @@ def test_limit_route_fingerprint():
     seeded problems in all three modes, bit for bit as the route gave them
     when each sample was one regularized_cross_section call."""
     rng = random.Random(17)
-
-    def draw(low, high):
-        return math.exp(rng.uniform(math.log(low), math.log(high)))
-
-    scales = [(draw(1e-3, 1e3), draw(1e-3, 1e3)) for _ in range(600)]
-    scales += [(draw(1e-300, 1e300), draw(1e-150, 1e150)) for _ in range(600)]
+    bounds = [(1e-3, 1e3, 1e-3, 1e3)] * 600 + [(1e-300, 1e300, 1e-150, 1e150)] * 600
+    scales = [
+        (draw_log_uniform(rng, k_low, k_high), draw_log_uniform(rng, mu_low, mu_high))
+        for k_low, k_high, mu_low, mu_high in bounds
+    ]
     digest = hashlib.sha256()
     for k, mu in scales:
         problem = ScatteringProblem(k=k, e0=-mu * mu)

@@ -22,14 +22,7 @@ from deltascatter.scattering import (
     cross_section_partial_wave,
     s_wave_phase_shift,
 )
-
-GRID_K = [0.1, 0.5, 1.0, 2.0, 10.0]
-GRID_LOG_X = [-3.0, -1.0, -0.1, 0.0, 0.1, 1.0, 3.0]
-
-
-def problem_at(k, log_x):
-    """Problem whose ln x lands at log_x up to one rounding of exp."""
-    return ScatteringProblem(k=k, e0=-((k * math.exp(log_x)) ** 2))
+from support import GRID_K, GRID_LOG_X, draw_log_uniform, problem_at
 
 
 def grid_problems():
@@ -418,17 +411,14 @@ def test_truncated_log_samples_within_their_rounding_model():
     [1e-14, 1].  Every sample down default_for whose model is at most 1e-2
     is within twice truncated_log_error_model of mead_godines_wrong_limit."""
     rng = random.Random(7)
-
-    def log_uniform(low, high):
-        return math.exp(rng.uniform(math.log(low), math.log(high)))
-
     worst_over_model, samples = 0.0, 0
     for _ in range(9_000):
         if rng.random() < 0.3:
-            mu = log_uniform(1e-150, 1e150)
-            k = mu * math.exp(rng.choice((-1.0, 1.0)) * log_uniform(1e-14, 1.0))
+            mu = draw_log_uniform(rng, 1e-150, 1e150)
+            k = mu * math.exp(rng.choice((-1.0, 1.0)) * draw_log_uniform(rng, 1e-14, 1.0))
         else:
-            k, mu = log_uniform(1e-300, 1e300), log_uniform(1e-150, 1e150)
+            k = draw_log_uniform(rng, 1e-300, 1e300)
+            mu = draw_log_uniform(rng, 1e-150, 1e150)
         problem = ScatteringProblem(k=k, e0=-mu * mu)
         wrong_limit = mead_godines_wrong_limit(problem)
         schedule = EpsilonSchedule.default_for(problem)
@@ -450,20 +440,17 @@ def test_accuracy_contract_against_mpmath():
     ASYMPTOTIC limits down default_for converge within LIMIT_CONTRACT_REL,
     and ASYMPTOTIC's within twice asymptotic_error_model."""
     rng = random.Random(22)
-
-    def log_uniform(low, high):
-        return math.exp(rng.uniform(math.log(low), math.log(high)))
-
     routes = (cross_section_closed, cross_section_partial_wave)
     worst = dict.fromkeys((route.__name__ for route in routes), 0.0)
     worst_limit = dict.fromkeys(LIMIT_CONTRACT_REL, 0.0)
     worst_over_model, unconverged = 0.0, []
     for i in range(6_000):
         if i % 5 == 0:
-            mu = log_uniform(1e-150, 1e150)
+            mu = draw_log_uniform(rng, 1e-150, 1e150)
             k = mu * math.exp(-rng.uniform(-1e-3, 1e-3))
         else:
-            k, mu = log_uniform(1e-300, 1e300), log_uniform(1e-150, 1e150)
+            k = draw_log_uniform(rng, 1e-300, 1e300)
+            mu = draw_log_uniform(rng, 1e-150, 1e150)
         problem = ScatteringProblem(k=k, e0=-mu * mu)
         schedule = EpsilonSchedule.default_for(problem)
         with mp.workdps(40):

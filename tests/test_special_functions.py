@@ -5,7 +5,7 @@ import sys
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from deltascatter.errors import DomainError
@@ -20,12 +20,13 @@ from deltascatter.special_functions import (
     hankel1_0_small_z,
     k0_small_z,
 )
-from series_oracle import h0_ladders, j0_series, k0_ladder, k0_series, y0_series
+from support import draw_log_uniform, h0_ladders, k0_ladder
 
-# Frozen from tests/series_oracle.py at 50 digits, rounded to doubles.
+# mpmath's besselj/bessely/besselk at 50 digits, at these doubles, rounded
+# to the nearest double.
 J0_KNOWN = {0.5: 0.9384698072408129, 1.0: 0.7651976865579666, 2.0: 0.22389077914123567}
 Y0_KNOWN = {0.5: -0.44451873350670656, 1.0: 0.08825696421567696, 2.0: 0.5103756726497451}
-K0_KNOWN = {0.1: 2.427069024702017, 1.0: 0.42102443824070834, 2.0: 0.11389387274953344}
+K0_KNOWN = {0.1: 2.4270690247020164, 1.0: 0.42102443824070834, 2.0: 0.11389387274953344}
 
 # 2 e^(-gamma), where the ln(z/2) + gamma prefactor crosses zero.
 LOG_NODE = 1.1229189671337703
@@ -211,9 +212,10 @@ def test_small_z_forms_share_the_rounded_log(z):
 
 @pytest.mark.parametrize("z", [0.0015, 0.01, 0.11, 0.5, 0.9, 1.3, 1.7, 2.0])
 def test_against_live_oracle(z):
-    assert bessel_j0(z) == pytest.approx(float(j0_series(mp.mpf(z))), rel=1e-10)
-    assert bessel_y0(z) == pytest.approx(float(y0_series(mp.mpf(z))), rel=1e-10)
-    assert bessel_k0(z) == pytest.approx(float(k0_series(mp.mpf(z))), rel=1e-10)
+    with mp.workdps(50):
+        assert bessel_j0(z) == pytest.approx(float(mp.besselj(0, z)), rel=1e-10)
+        assert bessel_y0(z) == pytest.approx(float(mp.bessely(0, z)), rel=1e-10)
+        assert bessel_k0(z) == pytest.approx(float(mp.besselk(0, z)), rel=1e-10)
 
 
 @given(subnormal)
@@ -359,19 +361,22 @@ def test_series_tables_are_the_loop_values():
         assert [q / v for v in table_m_sq] == [q / v for v in m_sq]
 
 
+def fingerprint_arguments():
+    """The kernel fingerprints' 110 000 z: 100 000 seeded log-uniform z in
+    [5e-324, 2] and 10 000 seeded subnormals."""
+    rng = random.Random(17)
+    zs = [min(2.0, draw_log_uniform(rng, 5e-324, 2.0)) for _ in range(100_000)]
+    return zs + [math.ldexp(rng.randrange(1, 2**52), -1074) for _ in range(10_000)]
+
+
 KERNELS_SHA256 = "a4fe54e5b6627a4f80bb90166b2dfb21e987224eb1edc83cf87ded3915d46e9b"
 
 
 def test_kernels_fingerprint():
-    """J0, Y0, K0 and H0 bit for bit, as .hex(), on 100 000 seeded
-    log-uniform z in [5e-324, 2] and 10 000 seeded subnormals, as the
-    kernels gave them when J0 and Y0 each ran their own term ladder."""
-    rng = random.Random(17)
-    log_low, log_high = math.log(5e-324), math.log(2.0)
-    zs = [min(2.0, math.exp(rng.uniform(log_low, log_high))) for _ in range(100_000)]
-    zs += [math.ldexp(rng.randrange(1, 2**52), -1074) for _ in range(10_000)]
+    """J0, Y0, K0 and H0 bit for bit, as .hex(), on fingerprint_arguments,
+    as the kernels gave them when J0 and Y0 each ran their own term ladder."""
     digest = hashlib.sha256()
-    for z in zs:
+    for z in fingerprint_arguments():
         h = hankel1_0(z)
         values = (bessel_j0(z), bessel_y0(z), bessel_k0(z), h.real, h.imag)
         digest.update(" ".join(v.hex() for v in values).encode() + b"\n")
@@ -383,15 +388,12 @@ SMALL_Z_FORMS_SHA256 = "ded573e0450d4a36189292b2b74dad932e64c04f7c0e7f65cd6b6e9b
 
 def test_small_z_forms_fingerprint():
     """The two-term forms bit for bit, as .hex() of k0_small_z and of
-    hankel1_0_small_z's imaginary part, on test_kernels_fingerprint's z and
+    hankel1_0_small_z's imaginary part, on fingerprint_arguments and
     10 000 seeded log-uniform z in [2, 1e300], since these forms take any
     finite z > 0: as they gave them when each had its own two-term kernel."""
-    rng = random.Random(17)
-    log_low, log_high = math.log(5e-324), math.log(2.0)
-    zs = [min(2.0, math.exp(rng.uniform(log_low, log_high))) for _ in range(100_000)]
-    zs += [math.ldexp(rng.randrange(1, 2**52), -1074) for _ in range(10_000)]
     rng = random.Random(19)
-    zs += [math.exp(rng.uniform(math.log(2.0), math.log(1e300))) for _ in range(10_000)]
+    zs = fingerprint_arguments()
+    zs += [draw_log_uniform(rng, 2.0, 1e300) for _ in range(10_000)]
     digest = hashlib.sha256()
     for z in zs:
         values = (k0_small_z(z), hankel1_0_small_z(z).imag)
@@ -406,9 +408,8 @@ def test_one_ladder_matches_a_test_per_sum():
     ladders run longest, 100 000 log-uniform z in [1e-320, 2], 10 000
     subnormals, and 0 and 2."""
     rng = random.Random(18)
-    log_low, log_high = math.log(1e-320), math.log(2.0)
     zs = [rng.uniform(0.0, 2.0) for _ in range(100_000)]
-    zs += [min(2.0, math.exp(rng.uniform(log_low, log_high))) for _ in range(100_000)]
+    zs += [min(2.0, draw_log_uniform(rng, 1e-320, 2.0)) for _ in range(100_000)]
     zs += [math.ldexp(rng.randrange(1, 2**52), -1074) for _ in range(10_000)]
     zs += [0.0, 5e-324, sys.float_info.min, 2.0]
     mismatches = []
