@@ -54,6 +54,12 @@ def test_traced_class_attribute_exists(span, module, cls, attr):
     assert attr in vars(owner)
 
 
+@pytest.mark.parametrize("name", _table("layers.py", "KERNELS"))
+def test_timed_kernel_exists(name):
+    special_functions = importlib.import_module("deltascatter.special_functions")
+    assert callable(getattr(special_functions, name, None))
+
+
 def _timed_calls():
     """(owner, attr) of every self.timed(name, unit, owner, attr, ...) call in
     bench/layers.py, the owner as a dotted path through its import aliases

@@ -686,6 +686,23 @@ class TestOutputPlumbing:
             f"error: {where} cannot be written: {os.strerror(errno.ENOSPC)}\n",
         )
 
+    def test_determinism_across_runs(self, capsys):
+        argv = ["limit-study", "--k", "2", "--e0", "-4", "--mode", "full"]
+        _, first, _ = run_cli(capsys, argv)
+        _, second, _ = run_cli(capsys, argv)
+        assert first == second
+
+    def test_module_invocation_matches_in_process(self, capsys):
+        argv = ["cross-section", "--k", "1", "--e0", "-1"]
+        _, out, _ = run_cli(capsys, argv)
+        result = subprocess.run(
+            [sys.executable, "-m", "deltascatter"] + argv,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == EXIT_OK
+        assert result.stdout == out
+
 
 def test_dev_mode_runs_raise_no_warning(tmp_path):
     """python -X dev -W error -m deltascatter exits as documented, with no
