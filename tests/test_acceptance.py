@@ -7,12 +7,9 @@ pinned here and never loosened to make a run green.
 
 import math
 import random
-import subprocess
-import sys
 
 import mpmath as mp
 
-from deltascatter.cli import main as cli_main
 from deltascatter.regularization import (
     EpsilonSchedule,
     RegularizationMode,
@@ -32,7 +29,9 @@ from deltascatter.special_functions import (
     hankel1_0_small_z,
     k0_small_z,
 )
-from support import GRID_K, GRID_LOG_X, PI_SQ, draw_log_uniform, problem_at
+from support import (
+    GOLDEN_OUTPUTS, GRID_K, GRID_LOG_X, PI_SQ, draw_log_uniform, problem_at, run_child, run_main
+)
 
 
 def rel_err(value, reference):
@@ -171,18 +170,6 @@ def test_criterion_7_truncated_eps_independence():
     report(7, "truncated-log sigma(eps) identical across four decades (rel 1e-12)", failures)
 
 
-GOLDEN_INVOCATIONS = [
-    ["cross-section", "--k", "1", "--e0", "-1", "--method", "closed"],
-    ["cross-section", "--k", "1", "--e0", "-1", "--method", "partial-wave"],
-    ["cross-section", "--k", "2", "--e0", "-29.556224395722598", "--method", "limit"],
-    ["limit-study", "--k", "1", "--e0", "-1"],
-    ["limit-study", "--k", "1", "--e0", "-7.3890560989306495", "--mode", "truncated-log"],
-    ["limit-study", "--k", "1", "--e0", "-1", "--mode", "asymptotic"],
-    ["sweep", "--e0", "-1", "--k-min", "0.1", "--k-max", "10", "--points", "5"],
-    ["sweep", "--e0", "-1", "--k-min", "0.5", "--k-max", "2", "--points", "9"],
-    ["sweep", "--e0", "-4", "--k-min", "1", "--k-max", "4", "--points", "7"],
-]
-
 FAILURE_INVOCATIONS = [
     (["cross-section", "--k", "1", "--e0", "0.5"], 2),
     (["cross-section", "--k", "-1", "--e0", "-1"], 2),
@@ -198,31 +185,23 @@ FAILURE_INVOCATIONS = [
 ]
 
 
-def test_criterion_8_cli_golden(capsys):
+def test_criterion_8_cli_golden():
     failures = []
-    for argv in GOLDEN_INVOCATIONS:
-        code_first = cli_main(argv)
-        first = capsys.readouterr().out
-        code_second = cli_main(argv)
-        second = capsys.readouterr().out
-        if code_first != 0 or code_second != 0:
-            failures.append(f"{' '.join(argv)}: exit {code_first}/{code_second}")
-        if first.encode() != second.encode():
-            failures.append(f"{' '.join(argv)}: output drifted")
-        if not first.endswith("\n") or "\r" in first:
-            failures.append(f"{' '.join(argv)}: malformed line endings")
+    for argv, code, _, _ in GOLDEN_OUTPUTS:
+        first, second = run_main(argv.split()), run_main(argv.split())
+        if (first[0], second[0]) != (code, code):
+            failures.append(f"{argv}: exit {first[0]}/{second[0]} != {code}")
+        if first != second:
+            failures.append(f"{argv}: output drifted")
+        if not first[1].endswith("\n") or "\r" in first[1]:
+            failures.append(f"{argv}: malformed line endings")
     for argv, expected in FAILURE_INVOCATIONS:
-        code = cli_main(argv)
-        capsys.readouterr()
+        code = run_main(argv)[0]
         if code != expected:
             failures.append(f"{' '.join(argv)}: exit {code} != {expected}")
     # the installed entry point must agree with the in-process driver
-    probe = GOLDEN_INVOCATIONS[0]
-    cli_main(probe)
-    in_process = capsys.readouterr().out
-    spawned = subprocess.run(
-        [sys.executable, "-m", "deltascatter"] + probe, capture_output=True, text=True
-    )
-    if spawned.returncode != 0 or spawned.stdout != in_process:
+    probe = GOLDEN_OUTPUTS[0][0].split()
+    spawned = run_child(probe, text=True)
+    if (spawned.returncode, spawned.stdout, spawned.stderr) != run_main(probe):
         failures.append("python -m deltascatter disagrees with in-process run")
     report(8, "CLI goldens byte-stable; documented exit codes fire", failures)

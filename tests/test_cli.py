@@ -20,7 +20,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from deltascatter import cli
 from deltascatter.cli import (
     _SWEEP_ROW,
     EXIT_DOMAIN,
@@ -45,79 +44,27 @@ from deltascatter.scattering import (
     cross_section_closed,
     s_wave_phase_shift,
 )
-from support import log_uniform
+from support import GOLDEN_OUTPUTS, child_command, log_uniform, run_child, run_main
 
 E0_LOG_X_ONE = -math.e**2  # ln x = 1 at k = 1
 DEV_FULL = pathlib.Path("/dev/full")  # a device on which every write fails
 
 
-def run_cli(capsys, argv):
-    code = main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-# (argv, exit code, sha256 of stdout) for the acceptance goldens, the README
-# examples, the extreme finite inputs, limit-study in every mode, a sweep
-# across 600 decades and a run that ends in the convergence warning.  A
-# refactor that moves one byte of these tables, or one exit code, fails here.
-PINNED_OUTPUTS = [
-    ("cross-section --k 1 --e0 -1 --method closed", 0,
-     "9fd1075397fcddc7cbdb7d386333d80f8b101dd20e77abc252d0473f78560276"),
-    ("cross-section --k 1 --e0 -1 --method partial-wave", 0,
-     "c89039fa0cd6d8b5ea25a23d62a5938eace5c1c0f4aad812058e39b1addc8329"),
-    ("cross-section --k 2 --e0 -29.556224395722598 --method limit", 0,
-     "69823d97f166d3143c798f867d389bb0cf7883c5f4f5670701bd679c4a152730"),
-    ("limit-study --k 1 --e0 -1", 0,
-     "8edbe6ef6de1f84351d7ae6ea461fd85a79a2fb6a6c9171ec2e2560710afcb6e"),
-    ("limit-study --k 1 --e0 -7.3890560989306495 --mode truncated-log", 0,
-     "390179f21369408b010e79c51f926b8ecfcee0b11f2f9bdc4fa4e45808998346"),
-    ("limit-study --k 1 --e0 -1 --mode asymptotic", 0,
-     "1bf1dffa758c4b85b1fccb5d3467f2e2cf1811a6768bcb8f775c8c03fa9dd48b"),
-    ("sweep --e0 -1 --k-min 0.1 --k-max 10 --points 5", 0,
-     "3fcc5dae8b26105ef0dfc2f856ac9c4659ef3934606fe5410d70149ae711226a"),
-    ("sweep --e0 -1 --k-min 0.5 --k-max 2 --points 9", 0,
-     "d8c00c773d8aa07b5ee27d9b38de5686087e175b31a23057ac46112c85a253d0"),
-    ("sweep --e0 -4 --k-min 1 --k-max 4 --points 7", 0,
-     "918ec5042b94014b5742b225beaa501dfd976496dcbf03addb86dde04935a96e"),
-    ("cross-section --k 1 --e0 -2.5", 0,
-     "52e17be50db658c369adac810281b2df0fbf97d1c2cbefa569813c6b3ba57ed3"),
-    ("cross-section --k 1e300 --e0=-1e-300", 0,
-     "e1a63ce039f93928ef94fcd373f5a8151e9e10a2f42ee1ee6afd53f1c5fcceb1"),
-    ("cross-section --k 1e300 --e0=-1e-300 --method partial-wave", 0,
-     "45d5feb54b0de982383ab62f5a879f449df416cc9f5bd058c6929b004d743331"),
-    ("cross-section --k 1e-300 --e0=-1e300", 0,
-     "df4373b6569ac6cabcdaeda00248f46e3e854877a7300c62fa61b5b341387717"),
-    ("cross-section --k 1e-300 --e0=-1e300 --method partial-wave", 0,
-     "97c60dce8499bbc7b4f46a628bbd94631d85e00534870dd779502884901f5c37"),
-    ("cross-section --k 1e308 --e0=-1", 0,
-     "f422688a9f2744a540b0a1db0c05fdc30154b48c90ed011241f070b5f19fe6f0"),
-    ("cross-section --k 1e308 --e0=-1 --method partial-wave", 0,
-     "a4ee82cccb14ffa6259a4102c58348b1deb052dbcb5399442e0acdc5a43dd74d"),
-    ("limit-study --k 2 --e0=-29.556224395722598 --mode full", 0,
-     "04b08ec417ec649a70c526692e0f9823cdb06c2145788d1516d0e2a8a712732a"),
-    ("limit-study --k 2 --e0=-29.556224395722598 --mode asymptotic", 0,
-     "6a894228e833f1f3e86d90d9a674ec15f97cf8330fa4ec72c6c6cbbd293c3650"),
-    ("limit-study --k 2 --e0=-29.556224395722598 --mode truncated-log", 0,
-     "c9f72e25d68565cc0a6fc47807f4bed9bd2f5c041397c2f8c6dab2c995449eb2"),
-    ("sweep --e0 -3.7 --k-min 1e-300 --k-max 1e300 --points 2001", 0,
-     "004dda7f9a1fc7e13c285e98c1cb43905189273ac6b6cdc840304e1e4ecb1ea4"),
-    ("cross-section --k 1 --e0 -1 --method limit "
-     "--eps-start 0.5 --eps-factor 0.5 --eps-count 2", 3,
-     "68775d1c94fdc1efe0be597300685696ec7f4018415340cc5ba88c3f6d7ea452"),
-]
-
-
-@pytest.mark.parametrize("argv, code, digest", PINNED_OUTPUTS)
-def test_pinned_output_bytes(capsys, argv, code, digest):
-    actual_code, out, _ = run_cli(capsys, argv.split())
-    assert (actual_code, hashlib.sha256(out.encode("ascii")).hexdigest()) == (code, digest)
+@pytest.mark.parametrize(
+    "argv, code, digest, stderr", GOLDEN_OUTPUTS,
+    ids=["-".join(map(str, row[:3])) for row in GOLDEN_OUTPUTS],
+)
+def test_pinned_output_bytes(argv, code, digest, stderr):
+    actual_code, out, err = run_main(argv.split())
+    assert (actual_code, hashlib.sha256(out.encode("ascii")).hexdigest(), err) == (
+        code, digest, stderr
+    )
 
 
 class TestCrossSection:
-    def test_closed_resonance_record(self, capsys):
-        code, out, err = run_cli(
-            capsys, ["cross-section", "--k", "1", "--e0", "-1", "--method", "closed"]
+    def test_closed_resonance_record(self):
+        code, out, err = run_main(
+            ["cross-section", "--k", "1", "--e0", "-1", "--method", "closed"]
         )
         assert code == EXIT_OK
         assert out == (
@@ -127,80 +74,71 @@ class TestCrossSection:
         )
         assert err == ""
 
-    def test_partial_wave_matches_closed_sigma(self, capsys):
-        _, out_closed, _ = run_cli(
-            capsys, ["cross-section", "--k", "1", "--e0", "-1", "--method", "closed"]
+    def test_partial_wave_matches_closed_sigma(self):
+        _, out_closed, _ = run_main(
+            ["cross-section", "--k", "1", "--e0", "-1", "--method", "closed"]
         )
-        _, out_partial, _ = run_cli(
-            capsys,
-            ["cross-section", "--k", "1", "--e0", "-1", "--method", "partial-wave"],
+        _, out_partial, _ = run_main(
+            ["cross-section", "--k", "1", "--e0", "-1", "--method", "partial-wave"]
         )
         assert out_partial.split(",")[-1] == out_closed.split(",")[-1]
         assert "partial-wave" in out_partial
 
-    def test_limit_method(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            ["cross-section", "--k", "1", "--e0", "-1", "--method", "limit"],
+    def test_limit_method(self):
+        code, out, _ = run_main(
+            ["cross-section", "--k", "1", "--e0", "-1", "--method", "limit"]
         )
         assert code == EXIT_OK
         sigma = float(out.splitlines()[1].split(",")[-1])
         assert sigma == pytest.approx(4.0, rel=1e-8)
 
-    def test_positive_e0_is_validation_error(self, capsys):
-        code, out, err = run_cli(
-            capsys, ["cross-section", "--k", "1", "--e0", "0.5", "--method", "closed"]
+    def test_positive_e0_is_validation_error(self):
+        code, out, err = run_main(
+            ["cross-section", "--k", "1", "--e0", "0.5", "--method", "closed"]
         )
         assert code == EXIT_VALIDATION
         assert out == ""
         assert "--e0" in err and "negative" in err
 
-    def test_bad_momentum_is_validation_error(self, capsys):
-        code, _, err = run_cli(capsys, ["cross-section", "--k", "-1", "--e0", "-1"])
+    def test_bad_momentum_is_validation_error(self):
+        code, _, err = run_main(["cross-section", "--k", "-1", "--e0", "-1"])
         assert code == EXIT_VALIDATION
         assert "--k" in err
 
-    def test_unknown_flag_exits_two(self, capsys):
-        code = main(["cross-section", "--k", "1", "--e0", "-1", "--nope"])
-        capsys.readouterr()
+    def test_unknown_flag_exits_two(self):
+        code, _, _ = run_main(["cross-section", "--k", "1", "--e0", "-1", "--nope"])
         assert code == EXIT_VALIDATION
 
-    def test_limit_non_convergence_exits_three(self, capsys):
-        code, out, err = run_cli(
-            capsys,
-            [
-                "cross-section", "--k", "1", "--e0", "-1", "--method", "limit",
-                "--eps-start", "0.5", "--eps-factor", "0.5", "--eps-count", "2",
-            ],
-        )
+    def test_limit_non_convergence_exits_three(self):
+        code, out, err = run_main([
+            "cross-section", "--k", "1", "--e0", "-1", "--method", "limit",
+            "--eps-start", "0.5", "--eps-factor", "0.5", "--eps-count", "2",
+        ])
         assert code == EXIT_NO_CONVERGENCE
         assert out.startswith("k,e0,x,ln_x,method,sigma\n")
         assert "converge" in err
 
-    def test_near_unit_factor_does_not_pass_a_shallow_limit(self, capsys):
+    def test_near_unit_factor_does_not_pass_a_shallow_limit(self):
         # Adjacent samples agree to 1e-8 although the last is 4.9e-5 off 4.
         argv = ["cross-section", "--k", "1", "--e0=-1", "--method", "limit"]
-        code, out, err = run_cli(capsys, argv + ["--eps-factor", "0.999999"])
+        code, out, err = run_main(argv + ["--eps-factor", "0.999999"])
         assert code == EXIT_NO_CONVERGENCE
         assert out.splitlines()[-1].endswith(",limit,4.00019591821861")
         assert "converge" in err
         for factor in ("0.5", "0.9", "0.99"):
-            code, out, err = run_cli(capsys, argv + ["--eps-factor", factor])
+            code, out, err = run_main(argv + ["--eps-factor", factor])
             assert (code, err) == (EXIT_OK, "")
             assert float(out.splitlines()[-1].split(",")[-1]) == pytest.approx(4.0, rel=1e-10)
 
     @pytest.mark.parametrize(
         "factor, rtol", [("0.5", "1e-08"), ("0.9", "2e-09"), ("0.999999", "2e-14")]
     )
-    def test_warning_names_the_tested_rtol(self, capsys, factor, rtol):
+    def test_warning_names_the_tested_rtol(self, factor, rtol):
         # Two cutoffs are too few to converge at any of these factors.
-        code, _, err = run_cli(
-            capsys,
-            [
-                "cross-section", "--k", "1", "--e0=-1", "--method", "limit",
-                "--eps-factor", factor, "--eps-count", "2",
-            ],
-        )
+        code, _, err = run_main([
+            "cross-section", "--k", "1", "--e0=-1", "--method", "limit",
+            "--eps-factor", factor, "--eps-count", "2",
+        ])
         assert code == EXIT_NO_CONVERGENCE
         assert err == f"warning: limit did not converge to relative {rtol}\n"
 
@@ -214,18 +152,18 @@ class TestCrossSection:
             ("1e308", "-1", "partial-wave", "1.96229729165596e-313"),
         ],
     )
-    def test_extreme_finite_inputs(self, capsys, k, e0, method, sigma):
-        code, out, err = run_cli(
-            capsys, ["cross-section", "--k", k, f"--e0={e0}", "--method", method]
+    def test_extreme_finite_inputs(self, k, e0, method, sigma):
+        code, out, err = run_main(
+            ["cross-section", "--k", k, f"--e0={e0}", "--method", method]
         )
         assert (code, err) == (EXIT_OK, "")
         assert out.splitlines()[1].split(",")[-1] == sigma
 
-    def test_limit_uses_the_whole_default_schedule(self, capsys):
+    def test_limit_uses_the_whole_default_schedule(self):
         # max(k, mu) = 300 shrinks the default start, and the longer
         # default count must come along with it.
-        code, out, err = run_cli(
-            capsys, ["cross-section", "--k", "300", "--e0=-1", "--method", "limit"]
+        code, out, err = run_main(
+            ["cross-section", "--k", "300", "--e0=-1", "--method", "limit"]
         )
         problem = ScatteringProblem(k=300.0, e0=-1.0)
         estimate = limit_extrapolate(
@@ -238,11 +176,11 @@ class TestCrossSection:
         )
 
     @pytest.mark.parametrize("k, e0", [("50", "-100"), ("1e200", "-1")])
-    def test_default_schedule_converges_at_any_scale(self, capsys, k, e0):
+    def test_default_schedule_converges_at_any_scale(self, k, e0):
         sigma = {}
         for method in ("closed", "limit"):
-            code, out, err = run_cli(
-                capsys, ["cross-section", "--k", k, f"--e0={e0}", "--method", method]
+            code, out, err = run_main(
+                ["cross-section", "--k", k, f"--e0={e0}", "--method", method]
             )
             assert (code, err) == (EXIT_OK, "")
             sigma[method] = float(out.splitlines()[1].split(",")[-1])
@@ -254,14 +192,11 @@ class TestUnderflowedCutoffs:
     ln mu + ln eps, and lands on the closed form."""
 
     @pytest.mark.parametrize("mode", ["full", "asymptotic", "truncated-log"])
-    def test_limit_route(self, capsys, mode):
-        code, out, err = run_cli(
-            capsys,
-            [
-                "cross-section", "--k", "1e300", "--e0=-1e-300",
-                "--method", "limit", "--mode", mode,
-            ],
-        )
+    def test_limit_route(self, mode):
+        code, out, err = run_main([
+            "cross-section", "--k", "1e300", "--e0=-1e-300",
+            "--method", "limit", "--mode", mode,
+        ])
         assert (code, err) == (EXIT_OK, "")
         problem = ScatteringProblem(k=1e300, e0=-1e-300)
         if mode == "truncated-log":
@@ -271,41 +206,50 @@ class TestUnderflowedCutoffs:
         sigma = float(out.splitlines()[1].split(",")[-1])
         assert sigma == pytest.approx(expected, rel=1e-12)
 
-    def test_subnormal_cutoff_product_limit(self, capsys):
+    def test_subnormal_cutoff_product_limit(self):
         # mu/k is about 1e-318, so mu*eps is a subnormal of a few bits; the
         # limit taken from the rounded product was 1.2e-4 off, with exit 0.
         sigma = {}
         for method in ("closed", "limit"):
-            code, out, err = run_cli(
-                capsys,
-                [
-                    "cross-section", "--k", "3.751301378942422e+258",
-                    "--e0=-2.6617079507249583e-119", "--method", method,
-                ],
-            )
+            code, out, err = run_main([
+                "cross-section", "--k", "3.751301378942422e+258",
+                "--e0=-2.6617079507249583e-119", "--method", method,
+            ])
             assert (code, err) == (EXIT_OK, "")
             sigma[method] = float(out.splitlines()[1].split(",")[-1])
         assert sigma["limit"] == pytest.approx(sigma["closed"], rel=1e-12)
 
-    def test_memory_does_not_grow_with_eps_count(self, capsys):
+    def test_memory_does_not_grow_with_eps_count(self):
         # The cutoffs reach 0 after 322 of the 2 000 000 asked for.
         argv = [
             "cross-section", "--k", "1", "--e0=-1", "--method", "limit",
             "--eps-count", "2000000",
         ]
-        tracemalloc.start()
-        try:
-            code = main(argv)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        capsys.readouterr()
+        code, peak = traced_peak(argv)
         assert code == EXIT_DOMAIN
         assert peak < 2**20
 
 
-# The argv of each subcommand that --e0 completes, in TestNegativeExponentValues
-# and test_space_form_under_other_cpythons.
+def traced_peak(argv):
+    """(exit code, peak traced bytes) of one in-process run of argv, traced
+    after a collection so that earlier garbage cannot free mid-trace."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code = run_main(argv)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return code, peak
+
+
+def run_in_child(argv, python=sys.executable):
+    """run_main's (exit code, stdout, stderr), from a python -m deltascatter child."""
+    result = run_child(argv, python, text=True)
+    return result.returncode, result.stdout, result.stderr
+
+
+# The argv of each subcommand that --e0 completes.
 E0_HEADS = [
     ["cross-section", "--k", "1"],
     ["limit-study", "--k", "1"],
@@ -313,25 +257,36 @@ E0_HEADS = [
 ]
 
 
+def space_form_failure(run, head):
+    """None if run(argv) -> (exit code, stdout, stderr) prints the same table,
+    exit 0 and no stderr for head + --e0 -2.5e-3 as for head + --e0=-2.5e-3."""
+    equals_form, space_form = run(head + ["--e0=-2.5e-3"]), run(head + ["--e0", "-2.5e-3"])
+    if not equals_form == space_form == (EXIT_OK, equals_form[1], ""):
+        return head, equals_form[0], space_form[0], space_form[2][-200:]
+
+
+def root_number_failure(run):
+    """None if run reads a bare -2.5e-3 as a subcommand, exit 2.  Without the
+    rule on the root parser too, argparse takes it for a flag there and
+    blames the missing subcommand instead."""
+    code, out, err = run(["-2.5e-3"])
+    blamed = "error: argument subcommand: invalid choice: '-2.5e-3'" in err.splitlines()[-1]
+    if (code, out, blamed) != (EXIT_VALIDATION, "", True):
+        return code, out, err[-200:]
+
+
 class TestNegativeExponentValues:
     @pytest.mark.parametrize("head", E0_HEADS)
-    def test_space_form_matches_equals_form(self, capsys, head):
-        code_eq, out_eq, _ = run_cli(capsys, head + ["--e0=-2.5e-3"])
-        code_sp, out_sp, err_sp = run_cli(capsys, head + ["--e0", "-2.5e-3"])
-        assert code_eq == EXIT_OK
-        assert (code_sp, out_sp, err_sp) == (code_eq, out_eq, "")
+    def test_space_form_matches_equals_form(self, head):
+        assert space_form_failure(run_main, head) is None
 
-    def test_root_parser_reads_a_number_as_a_subcommand(self, capsys):
-        # Without the rule on the root parser too, argparse takes "-2.5e-3"
-        # for a flag there and blames the missing subcommand instead.
-        code, out, err = run_cli(capsys, ["-2.5e-3"])
-        assert (code, out) == (EXIT_VALIDATION, "")
-        assert "error: argument subcommand: invalid choice: '-2.5e-3'" in err.splitlines()[-1]
+    def test_root_parser_reads_a_number_as_a_subcommand(self):
+        assert root_number_failure(run_main) is None
 
 
 class TestLimitStudy:
-    def test_full_mode_table(self, capsys):
-        code, out, err = run_cli(capsys, ["limit-study", "--k", "1", "--e0", "-1"])
+    def test_full_mode_table(self):
+        code, out, err = run_main(["limit-study", "--k", "1", "--e0", "-1"])
         assert code == EXIT_OK
         lines = out.splitlines()
         assert lines[0] == "eps,sigma_eps,abs_err_vs_closed"
@@ -343,14 +298,11 @@ class TestLimitStudy:
         assert summary[0] == "limit"
         assert float(summary[1]) == pytest.approx(4.0, rel=1e-6)
 
-    def test_truncated_mode_rows_identical(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            [
-                "limit-study", "--k", "1", "--e0", repr(E0_LOG_X_ONE),
-                "--mode", "truncated-log",
-            ],
-        )
+    def test_truncated_mode_rows_identical(self):
+        code, out, _ = run_main([
+            "limit-study", "--k", "1", "--e0", repr(E0_LOG_X_ONE),
+            "--mode", "truncated-log",
+        ])
         assert code == EXIT_OK
         lines = out.splitlines()
         sigmas = {line.split(",")[1] for line in lines[1:6]}
@@ -359,17 +311,17 @@ class TestLimitStudy:
             9.869604401089358, rel=1e-8
         )
 
-    def test_asymptotic_resonance_error_estimate_zero(self, capsys):
-        code, out, _ = run_cli(
-            capsys, ["limit-study", "--k", "1", "--e0", "-1", "--mode", "asymptotic"]
+    def test_asymptotic_resonance_error_estimate_zero(self):
+        code, out, _ = run_main(
+            ["limit-study", "--k", "1", "--e0", "-1", "--mode", "asymptotic"]
         )
         assert code == EXIT_OK
         lines = out.splitlines()
         assert lines[6] == "limit,4.00000000000000,0.00000000000000"
 
-    def test_eps_outside_domain_exits_four(self, capsys):
-        code, out, err = run_cli(
-            capsys, ["limit-study", "--k", "1", "--e0", "-1", "--eps-start", "3.0"]
+    def test_eps_outside_domain_exits_four(self):
+        code, out, err = run_main(
+            ["limit-study", "--k", "1", "--e0", "-1", "--eps-start", "3.0"]
         )
         assert code == EXIT_DOMAIN
         assert out == ""
@@ -378,36 +330,35 @@ class TestLimitStudy:
             "mu*eps = 3.0 and k*eps = 3.0 both at most 2.0\n"
         )
 
-    def test_truncated_resonance_exits_four(self, capsys):
+    def test_truncated_resonance_exits_four(self):
         # the truncated bracket vanishes identically when k = mu
-        code, _, err = run_cli(
-            capsys, ["limit-study", "--k", "1", "--e0", "-1", "--mode", "truncated-log"]
+        code, _, err = run_main(
+            ["limit-study", "--k", "1", "--e0", "-1", "--mode", "truncated-log"]
         )
         assert code == EXIT_DOMAIN
         assert "bracket" in err
 
-    def test_default_count_follows_the_default_start(self, capsys):
+    def test_default_count_follows_the_default_start(self):
         problem = ScatteringProblem(k=300.0, e0=-1.0)
         count = EpsilonSchedule.default_for(problem).count
         assert count > 5
-        _, out, _ = run_cli(capsys, ["limit-study", "--k", "300", "--e0", "-1"])
+        _, out, _ = run_main(["limit-study", "--k", "300", "--e0", "-1"])
         assert len(out.splitlines()) == count + 2
-        _, out, _ = run_cli(
-            capsys,
-            ["limit-study", "--k", "300", "--e0", "-1", "--eps-start", "1e-3"],
+        _, out, _ = run_main(
+            ["limit-study", "--k", "300", "--e0", "-1", "--eps-start", "1e-3"]
         )
         assert len(out.splitlines()) == 5 + 2
 
     @pytest.mark.parametrize("mode", ["full", "asymptotic"])
     @pytest.mark.parametrize("factor", ["0.5", "0.3"])
     @pytest.mark.parametrize("k, e0", [(1.0, -1.0), (1.0, -2.5), (300.0, -1.0)])
-    def test_default_count_follows_the_factor(self, capsys, k, e0, factor, mode):
+    def test_default_count_follows_the_factor(self, k, e0, factor, mode):
         # Counted at factor 0.1, a factor of 0.5 stopped at eps 6.25e-4 at
         # k=1, e0=-1, short of the default depth, and exited 3.
         problem = ScatteringProblem(k=k, e0=e0)
         schedule = EpsilonSchedule.default_for(problem, float(factor))
         argv = ["limit-study", "--k", repr(k), f"--e0={e0!r}", "--eps-factor", factor]
-        code, out, err = run_cli(capsys, argv + ["--mode", mode])
+        code, out, err = run_main(argv + ["--mode", mode])
         assert (code, err) == (EXIT_OK, "")
         lines = out.splitlines()
         assert len(lines) == schedule.count + 2
@@ -441,33 +392,33 @@ class TestLimitStudy:
             ),
         ],
     )
-    def test_bad_schedule_flag_is_named(self, capsys, tmp_path, flags, message):
+    def test_bad_schedule_flag_is_named(self, tmp_path, flags, message):
         argv = ["limit-study", "--k", "1", "--e0", "-1"] + flags.split()
-        code, out, err = run_cli(capsys, argv)
+        code, out, err = run_main(argv)
         assert (code, out, err) == (EXIT_VALIDATION, "", f"error: {message}\n")
         target = tmp_path / "table.csv"
-        code, out, err = run_cli(capsys, argv + ["--output", str(target)])
+        code, out, err = run_main(argv + ["--output", str(target)])
         assert (code, out, err) == (EXIT_VALIDATION, "", f"error: {message}\n")
         assert not target.exists()
 
-    def test_subnormal_start_names_the_factor(self, capsys):
+    def test_subnormal_start_names_the_factor(self):
         # 0.9 * 5e-324 rounds back to 5e-324.
         argv = ["limit-study", "--k", "1", "--e0=-2", "--eps-start", "5e-324"]
-        code, out, err = run_cli(capsys, argv + ["--eps-factor", "0.9"])
+        code, out, err = run_main(argv + ["--eps-factor", "0.9"])
         assert (code, out) == (EXIT_VALIDATION, "")
         assert err == (
             "error: --eps-factor must shrink every cutoff, but cutoff 2, "
             "5e-324, is not below 5e-324\n"
         )
 
-    def test_bad_eps_count_exits_two(self, capsys):
-        code, _, err = run_cli(
-            capsys, ["limit-study", "--k", "1", "--e0", "-1", "--eps-count", "1"]
+    def test_bad_eps_count_exits_two(self):
+        code, _, err = run_main(
+            ["limit-study", "--k", "1", "--e0", "-1", "--eps-count", "1"]
         )
         assert code == EXIT_VALIDATION
         assert "--eps-count" in err
 
-    def test_error_after_the_first_samples_writes_nothing(self, capsys, tmp_path):
+    def test_error_after_the_first_samples_writes_nothing(self, tmp_path):
         # Two cutoffs are sampled before the third, 1e-326, rounds to 0.0.
         argv = [
             "limit-study", "--k", "1", "--e0=-1", "--eps-start", "1e-320",
@@ -477,9 +428,9 @@ class TestLimitStudy:
             "error: at k=1.0, e0=-1.0, eps=0.0 the cutoff must be positive with "
             "mu*eps = 0.0 and k*eps = 0.0 both at most 2.0\n"
         )
-        assert run_cli(capsys, argv) == (EXIT_DOMAIN, "", message)
+        assert run_main(argv) == (EXIT_DOMAIN, "", message)
         target = tmp_path / "table.csv"
-        assert run_cli(capsys, argv + ["--output", str(target)]) == (EXIT_DOMAIN, "", message)
+        assert run_main(argv + ["--output", str(target)]) == (EXIT_DOMAIN, "", message)
         assert not target.exists()
 
     @pytest.mark.parametrize("mode", [mode.value for mode in RegularizationMode])
@@ -531,37 +482,27 @@ def test_limit_memory_is_flat_down_a_long_schedule(head):
     # Both subcommands hold two samples at a time, however many the schedule
     # has; all 2 000 or 8 000 cutoffs here are sampled, and only the longer
     # schedule meets the stop test.  A first short run fills the one-time
-    # caches (argparse's, re's) outside the trace, and collecting first keeps
-    # earlier garbage from freeing mid-trace.
+    # caches (argparse's, re's) outside the trace.
     head = head + [
         "--k", "1", "--e0=-1", "--eps-factor", "0.999", "--output", os.devnull,
         "--eps-count",
     ]
-    main(head + ["2"])
-    codes, peaks = [], []
-    for count in ("2000", "8000"):
-        gc.collect()
-        tracemalloc.start()
-        try:
-            codes.append(main(head + [count]))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        peaks.append(peak)
-    assert codes == [EXIT_NO_CONVERGENCE, EXIT_OK]
+    run_main(head + ["2"])
+    codes, peaks = zip(*(traced_peak(head + [count]) for count in ("2000", "8000")))
+    assert codes == (EXIT_NO_CONVERGENCE, EXIT_OK)
     assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0], peaks
 
 
-def test_main_leaves_no_cyclic_garbage(capsys):
+def test_main_leaves_no_cyclic_garbage():
     # The parser is built once at import, so a call leaves no cycle of
     # objects that only the collector could free.
     argv = ["cross-section", "--k", "1", "--e0=-1"]
-    main(argv)
+    run_main(argv)
     gc.collect()
     gc.disable()
     tracemalloc.start()
     try:
-        assert main(argv) == EXIT_OK
+        assert run_main(argv)[0] == EXIT_OK
         held, _ = tracemalloc.get_traced_memory()
         collected = gc.collect()
     finally:
@@ -569,14 +510,12 @@ def test_main_leaves_no_cyclic_garbage(capsys):
         gc.enable()
     assert held < 8 * 1024
     assert collected == 0
-    capsys.readouterr()
 
 
 class TestSweep:
-    def test_resonance_row(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            ["sweep", "--e0", "-1", "--k-min", "0.1", "--k-max", "10", "--points", "5"],
+    def test_resonance_row(self):
+        code, out, _ = run_main(
+            ["sweep", "--e0", "-1", "--k-min", "0.1", "--k-max", "10", "--points", "5"]
         )
         assert code == EXIT_OK
         lines = out.splitlines()
@@ -587,10 +526,9 @@ class TestSweep:
         assert float(middle[2]) == pytest.approx(1.5707963267948966, abs=1e-12)
         assert float(middle[4]) == pytest.approx(4.0, rel=1e-12)
 
-    def test_unitarity_and_symmetry_of_rows(self, capsys):
-        _, out, _ = run_cli(
-            capsys,
-            ["sweep", "--e0", "-1", "--k-min", "0.1", "--k-max", "10", "--points", "5"],
+    def test_unitarity_and_symmetry_of_rows(self):
+        _, out, _ = run_main(
+            ["sweep", "--e0", "-1", "--k-min", "0.1", "--k-max", "10", "--points", "5"]
         )
         rows = [line.split(",") for line in out.splitlines()[1:]]
         sigma_k = [float(row[4]) for row in rows]
@@ -599,10 +537,9 @@ class TestSweep:
         assert sigma_k[0] == pytest.approx(sigma_k[4], rel=1e-12)
         assert sigma_k[1] == pytest.approx(sigma_k[3], rel=1e-12)
 
-    def test_endpoints_exact(self, capsys):
-        _, out, _ = run_cli(
-            capsys,
-            ["sweep", "--e0", "-4", "--k-min", "0.25", "--k-max", "8", "--points", "4"],
+    def test_endpoints_exact(self):
+        _, out, _ = run_main(
+            ["sweep", "--e0", "-4", "--k-min", "0.25", "--k-max", "8", "--points", "4"]
         )
         rows = out.splitlines()[1:]
         assert rows[0].split(",")[0] == "0.250000000000000"
@@ -617,11 +554,27 @@ class TestSweep:
             ["sweep", "--e0", "1", "--k-min", "0.1", "--k-max", "1", "--points", "5"],
         ],
     )
-    def test_validation_failures_exit_two(self, capsys, argv):
-        code, out, err = run_cli(capsys, argv)
+    def test_validation_failures_exit_two(self, argv):
+        code, out, err = run_main(argv)
         assert code == EXIT_VALIDATION
         assert out == ""
         assert err.startswith("error:")
+
+
+def unwritable_failure(python, argv, target):
+    """None if python -m deltascatter argv, its table sent to /dev/full through
+    target, exits 2 and names target once on stderr; else what it did.  A
+    stray write to stdout, also /dev/full, fails the interpreter's last flush."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    options, where = ["-u"] if target == "unbuffered-stdout" else [], "stdout"
+    if target == "--output":
+        argv, where = argv + ["--output", str(DEV_FULL)], f"--output {str(DEV_FULL)!r}"
+    with open(DEV_FULL, "w") as full:
+        result = run_child(argv, python, options, stdout=full, env=env, text=True)
+    message = f"error: {where} cannot be written: {os.strerror(errno.ENOSPC)}\n"
+    if (result.returncode, result.stderr) != (EXIT_VALIDATION, message):
+        return python, argv, result.returncode, result.stderr[-300:]
 
 
 # Tables written to /dev/full, with their test ids.
@@ -636,13 +589,11 @@ UNWRITABLE_IDS = ["cross-section", "limit-study", "sweep", "sweep-domain-error"]
 
 
 class TestOutputPlumbing:
-    def test_output_file_matches_stdout_bytes(self, capsys, tmp_path):
+    def test_output_file_matches_stdout_bytes(self, tmp_path):
         argv = ["sweep", "--e0", "-1", "--k-min", "0.5", "--k-max", "2", "--points", "3"]
-        _, out, _ = run_cli(capsys, argv)
+        _, out, _ = run_main(argv)
         target = tmp_path / "table.csv"
-        code = main(argv + ["--output", str(target)])
-        capsys.readouterr()
-        assert code == EXIT_OK
+        assert run_main(argv + ["--output", str(target)]) == (EXIT_OK, "", "")
         assert target.read_bytes() == out.encode("ascii")
 
     @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
@@ -655,9 +606,9 @@ class TestOutputPlumbing:
         ],
         ids=lambda argv: argv[0],
     )
-    def test_unopenable_output_exits_two(self, capsys, tmp_path, argv, where):
+    def test_unopenable_output_exits_two(self, tmp_path, argv, where):
         target = tmp_path / "missing" / "table.csv" if where == "missing-dir" else tmp_path
-        code, out, err = run_cli(capsys, argv + ["--output", str(target)])
+        code, out, err = run_main(argv + ["--output", str(target)])
         assert (code, out) == (EXIT_VALIDATION, "")
         assert err.startswith(f"error: --output {str(target)!r} cannot be opened: ")
         assert err.count("\n") == 1
@@ -667,82 +618,69 @@ class TestOutputPlumbing:
     @pytest.mark.parametrize("target", ["stdout", "unbuffered-stdout", "--output"])
     @pytest.mark.parametrize("argv", UNWRITABLE_ARGVS, ids=UNWRITABLE_IDS)
     def test_unwritable_output_exits_two(self, argv, target):
-        env = dict(os.environ)
-        env.pop("PYTHONUNBUFFERED", None)
-        command = [sys.executable, "-m", "deltascatter"] + argv
-        if target == "unbuffered-stdout":
-            command.insert(1, "-u")
-        if target == "--output":
-            command += ["--output", str(DEV_FULL)]
-            where = f"--output {str(DEV_FULL)!r}"
-        else:
-            where = "stdout"
-        with open(DEV_FULL, "w") as full:
-            result = subprocess.run(
-                command, stdout=full, stderr=subprocess.PIPE, env=env, text=True
-            )
-        assert (result.returncode, result.stderr) == (
-            EXIT_VALIDATION,
-            f"error: {where} cannot be written: {os.strerror(errno.ENOSPC)}\n",
-        )
+        assert unwritable_failure(sys.executable, argv, target) is None
 
-    def test_determinism_across_runs(self, capsys):
+    def test_determinism_across_runs(self):
         argv = ["limit-study", "--k", "2", "--e0", "-4", "--mode", "full"]
-        _, first, _ = run_cli(capsys, argv)
-        _, second, _ = run_cli(capsys, argv)
+        _, first, _ = run_main(argv)
+        _, second, _ = run_main(argv)
         assert first == second
 
-    def test_module_invocation_matches_in_process(self, capsys):
+    def test_module_invocation_matches_in_process(self):
         argv = ["cross-section", "--k", "1", "--e0", "-1"]
-        _, out, _ = run_cli(capsys, argv)
-        result = subprocess.run(
-            [sys.executable, "-m", "deltascatter"] + argv,
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == EXIT_OK
-        assert result.stdout == out
+        code, out, err = run_main(argv)
+        assert run_in_child(argv) == (code, out, err) == (EXIT_OK, out, "")
 
 
-def test_dev_mode_runs_raise_no_warning(tmp_path):
-    """python -X dev -W error -m deltascatter exits as documented, with no
-    warning, traceback or unraisable exception on stderr: no error path
-    leaves a file unclosed, and argparse's private matcher draws no warning."""
-    command = [sys.executable, "-X", "dev", "-W", "error", "-m", "deltascatter"]
+DEV_MODE = ("-X", "dev", "-W", "error")
+
+
+def dev_mode_failures(python, tmp_path):
+    """Runs of python -X dev -W error -m deltascatter that do not exit as
+    documented with exactly the documented stderr: no error path may leave a
+    file unclosed, and argparse's private matcher may draw no warning."""
     table, unwritten = str(tmp_path / "table.csv"), tmp_path / "unwritten.csv"
+    missing = str(tmp_path / "missing" / "x")
     runs = [
-        (["cross-section", "--k", "1", "--e0=-1"], EXIT_OK),
-        (["limit-study", "--k", "1", "--e0=-1", "--output", table], EXIT_OK),
+        (["cross-section", "--k", "1", "--e0=-1"], EXIT_OK, ""),
+        (["cross-section", "--k", "1", "--e0=-1", "--method", "limit"], EXIT_OK, ""),
+        (["limit-study", "--k", "1", "--e0=-1"], EXIT_OK, ""),
+        (["limit-study", "--k", "1", "--e0=-1", "--output", table], EXIT_OK, ""),
+        (["sweep", "--e0=-1", "--k-min", "0.5", "--k-max", "2"], EXIT_OK, ""),
         (["sweep", "--e0=-1", "--k-min", "1e-320", "--k-max", "1", "--points", "3",
-          "--output", table], EXIT_DOMAIN),
+          "--output", table], EXIT_DOMAIN,
+         "error: the cross section at k=1e-320, e0=-1.0 exceeds the largest double\n"),
         (["limit-study", "--k", "1", "--e0=-1", "--eps-start", "1e-320",
-          "--eps-factor", "0.001", "--output", str(unwritten)], EXIT_DOMAIN),
-        (["cross-section", "--k", "1", "--e0=-1",
-          "--output", str(tmp_path / "missing" / "x")], EXIT_VALIDATION),
+          "--eps-factor", "0.001", "--output", str(unwritten)], EXIT_DOMAIN,
+         "error: at k=1.0, e0=-1.0, eps=0.0 the cutoff must be positive with "
+         "mu*eps = 0.0 and k*eps = 0.0 both at most 2.0\n"),
+        (["cross-section", "--k", "1", "--e0=-1", "--output", missing], EXIT_VALIDATION,
+         f"error: --output {missing!r} cannot be opened: {os.strerror(errno.ENOENT)}\n"),
         (["cross-section", "--k", "1", "--e0=-1", "--method", "limit",
-          "--mode", "truncated-log"], EXIT_DOMAIN),
+          "--mode", "truncated-log"], EXIT_DOMAIN,
+         "error: the regularizing bracket vanished; sigma(eps) is undefined here\n"),
     ]
     results = []
-    for argv, expected in runs:
-        result = subprocess.run(command + argv, capture_output=True, text=True, timeout=120)
-        results.append((argv, expected, result.returncode, result.stderr))
+    for argv, code, stderr in runs:
+        result = run_child(argv, python, DEV_MODE, text=True)
+        results.append((argv, (code, stderr), (result.returncode, result.stderr)))
     # A reader that closes the pipe after the header.
     argv = ["sweep", "--e0=-1", "--k-min", "0.01", "--k-max", "100", "--points", "200000"]
     with subprocess.Popen(
-        command + argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+        child_command(argv, python, DEV_MODE),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     ) as child:
         child.stdout.readline()
         child.stdout.close()
         stderr = child.stderr.read()
-        results.append((argv, EXIT_OK, child.wait(timeout=120), stderr))
-    failures = [
-        (argv, code, stderr[-300:])
-        for argv, expected, code, stderr in results
-        if code != expected
-        or any(word in stderr for word in ("Warning", "Traceback", "Exception ignored"))
-    ]
-    assert failures == []
-    assert not unwritten.exists()
+        results.append((argv, (EXIT_OK, ""), (child.wait(timeout=120), stderr)))
+    if unwritten.exists():
+        results.append((str(unwritten), "not written", "written"))
+    return [(python, *result) for result in results if result[1] != result[2]]
+
+
+def test_dev_mode_runs_raise_no_warning(tmp_path):
+    assert dev_mode_failures(sys.executable, tmp_path) == []
 
 
 @functools.cache
@@ -773,96 +711,52 @@ def other_cpythons():
     return list(found.values())
 
 
-def run_children(argvs, options=()):
-    """(interpreter, argv, exit code, stdout, stderr) of each argv as a
-    python [options] -m deltascatter child of each other CPython; skips when
-    none starts."""
-    interpreters = other_cpythons()
-    if not interpreters:
+def other_pythons():
+    """other_cpythons(), or a skip of the calling test when none starts.  The
+    package promises stdlib only and requires-python >= 3.10, so each test
+    below runs its own-interpreter twin's check under every other CPython."""
+    if not other_cpythons():
         pytest.skip("no other CPython 3.10 .. 3.13 starts from PATH or pyenv")
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    runs = []
-    for exe in interpreters:
-        for argv in argvs:
-            result = subprocess.run(
-                [exe, *options, "-m", "deltascatter", *argv],
-                capture_output=True, env=env, timeout=120,
-            )
-            runs.append((exe, argv, result.returncode, result.stdout, result.stderr))
-    return runs
+    return other_cpythons()
 
 
 def test_pinned_outputs_under_other_cpythons():
-    # The package promises stdlib only and requires-python >= 3.10: every
-    # pinned table must come out the same under each version.
-    expected = {tuple(argv.split()): (code, digest) for argv, code, digest in PINNED_OUTPUTS}
-    failures = [
-        (exe, argv, code, err[-200:])
-        for exe, argv, code, out, err in run_children(list(expected))
-        if (code, hashlib.sha256(out).hexdigest()) != expected[argv]
-    ]
+    failures = []
+    for exe in other_pythons():
+        for argv, code, digest, stderr in GOLDEN_OUTPUTS:
+            result = run_child(argv.split(), exe)
+            actual = (result.returncode, hashlib.sha256(result.stdout).hexdigest(),
+                      result.stderr.decode())
+            if actual != (code, digest, stderr):
+                failures.append((exe, argv, actual[0], actual[2][-200:]))
     assert failures == []
 
 
 def test_space_form_under_other_cpythons():
     # build_parser sets _negative_number_matcher, a private argparse
     # attribute, so a new Python is where the space form would break first.
-    argvs = [("-2.5e-3",)] + [tuple(head + form) for head in E0_HEADS
-                              for form in (["--e0=-2.5e-3"], ["--e0", "-2.5e-3"])]
-    runs = {(exe, argv): (code, out, err) for exe, argv, code, out, err in run_children(argvs)}
     failures = []
-    for exe in {exe for exe, _ in runs}:
-        code, out, err = runs[exe, ("-2.5e-3",)]
-        blamed = b"error: argument subcommand: invalid choice: '-2.5e-3'" in err.splitlines()[-1]
-        if (code, out, blamed) != (EXIT_VALIDATION, b"", True):
-            failures.append((exe, "-2.5e-3", code, err[-200:]))
-        for head in E0_HEADS:
-            code, out, _ = runs[exe, tuple(head + ["--e0=-2.5e-3"])]
-            space_form = runs[exe, tuple(head + ["--e0", "-2.5e-3"])]
-            if code != EXIT_OK or space_form != (code, out, b""):
-                failures.append((exe, head, code, space_form[0], space_form[2][-200:]))
-    assert failures == []
+    for exe in other_pythons():
+        run = functools.partial(run_in_child, python=exe)
+        failures += [root_number_failure(run)]
+        failures += [space_form_failure(run, head) for head in E0_HEADS]
+    assert list(filter(None, failures)) == []
 
 
 @pytest.mark.skipif(not DEV_FULL.exists(), reason="no /dev/full")
 def test_unwritable_output_under_other_cpythons():
     # --output's flush and close share stdout's write path; each Python's io
     # must still raise one write error there, named once on stderr.
-    argvs = [tuple(argv) + ("--output", str(DEV_FULL)) for argv in UNWRITABLE_ARGVS]
-    message = (
-        f"error: --output {str(DEV_FULL)!r} cannot be written: "
-        f"{os.strerror(errno.ENOSPC)}\n"
-    ).encode()
-    failures = [
-        (exe, argv, code, err[-300:])
-        for exe, argv, code, out, err in run_children(argvs)
-        if (code, out, err) != (EXIT_VALIDATION, b"", message)
-    ]
-    assert failures == []
+    failures = [unwritable_failure(exe, argv, "--output")
+                for exe in other_pythons() for argv in UNWRITABLE_ARGVS]
+    assert list(filter(None, failures)) == []
 
 
-def test_dev_mode_under_other_cpythons():
+def test_dev_mode_under_other_cpythons(tmp_path):
     # Annotations evaluate at definition time and build_parser sets a private
     # argparse attribute: a newer or older Python is where either would warn
     # first.
-    expected = {
-        ("cross-section", "--k", "1", "--e0=-1", "--method", "limit"): (EXIT_OK, b""),
-        ("limit-study", "--k", "1", "--e0=-1"): (EXIT_OK, b""),
-        ("sweep", "--e0=-1", "--k-min", "0.5", "--k-max", "2"): (EXIT_OK, b""),
-        ("cross-section", "--k", "1", "--e0=-1", "--method", "limit",
-         "--mode", "truncated-log"): (
-            EXIT_DOMAIN,
-            b"error: the regularizing bracket vanished; sigma(eps) is undefined here\n",
-        ),
-    }
-    runs = run_children(list(expected), ("-X", "dev", "-W", "error"))
-    failures = [
-        (exe, argv, code, err[-300:])
-        for exe, argv, code, out, err in runs
-        if (code, err) != expected[argv]
-    ]
-    assert failures == []
+    assert [f for exe in other_pythons() for f in dev_mode_failures(exe, tmp_path)] == []
 
 
 class FailingStringIO(io.StringIO):
@@ -879,6 +773,11 @@ class FailingStringIO(io.StringIO):
 PROC_FD = pathlib.Path("/proc/self/fd")
 
 
+def open_fd_count():
+    """Descriptors this process holds, or None where /proc is absent."""
+    return len(os.listdir(PROC_FD)) if PROC_FD.exists() else None
+
+
 @pytest.mark.parametrize(
     "error, code, message",
     [
@@ -889,39 +788,33 @@ PROC_FD = pathlib.Path("/proc/self/fd")
     ids=["no-space", "broken-pipe"],
 )
 def test_failed_write_to_a_stdout_without_descriptor(error, code, message):
-    open_fds = len(os.listdir(PROC_FD)) if PROC_FD.exists() else None
+    open_fds = open_fd_count()
     err = io.StringIO()
     with contextlib.redirect_stdout(FailingStringIO(error)), contextlib.redirect_stderr(err):
         result = main(["cross-section", "--k", "1", "--e0", "-1"])
     assert (result, err.getvalue()) == (code, message)
-    if open_fds is not None:
-        assert len(os.listdir(PROC_FD)) == open_fds
-
-
-def open_fd_count():
-    """Descriptors this process holds, or None where /proc is absent."""
-    return len(os.listdir(PROC_FD)) if PROC_FD.exists() else None
+    assert open_fd_count() == open_fds
 
 
 # The file side of main's one write path, which otherwise only children reach.
 @pytest.mark.skipif(not DEV_FULL.exists(), reason="no /dev/full")
-def test_unwritable_output_file_in_process(capsys):
+def test_unwritable_output_file_in_process():
     open_fds = open_fd_count()
-    result = main(["cross-section", "--k", "1", "--e0", "-1", "--output", str(DEV_FULL)])
-    assert (result, *capsys.readouterr()) == (
+    result = run_main(["cross-section", "--k", "1", "--e0", "-1", "--output", str(DEV_FULL)])
+    assert result == (
         EXIT_VALIDATION, "",
         f"error: --output {str(DEV_FULL)!r} cannot be written: {os.strerror(errno.ENOSPC)}\n",
     )
     assert open_fd_count() == open_fds
 
 
-def test_row_error_to_an_output_file_in_process(capsys, tmp_path):
+def test_row_error_to_an_output_file_in_process(tmp_path):
     target = tmp_path / "table.csv"
     open_fds = open_fd_count()
-    result = main(["sweep", "--e0=-1", "--k-min", "1e-320", "--k-max", "1",
-                   "--points", "5", "--output", str(target)])
+    result = run_main(["sweep", "--e0=-1", "--k-min", "1e-320", "--k-max", "1",
+                       "--points", "5", "--output", str(target)])
     # The first row fails with a DomainError while the header is buffered.
-    assert (result, *capsys.readouterr(), target.read_text()) == (
+    assert (*result, target.read_text()) == (
         EXIT_DOMAIN, "",
         "error: the cross section at k=1e-320, e0=-1.0 exceeds the largest double\n",
         "k,ln_x,delta0,sigma,sigma_times_k\n",
@@ -1015,9 +908,8 @@ def test_every_parser_flag_is_pinned():
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); import deltascatter.cli; "
+        "import sys, deltascatter.cli; "
         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     )
     result = subprocess.run(
@@ -1030,21 +922,21 @@ class TestUnrepresentableSigma:
     """Valid input whose cross section exceeds the largest double exits 4."""
 
     @pytest.mark.parametrize("method", ["closed", "partial-wave", "limit"])
-    def test_cross_section(self, capsys, method):
-        code, out, err = run_cli(
-            capsys, ["cross-section", "--k", "1e-320", "--e0=-1", "--method", method]
+    def test_cross_section(self, method):
+        code, out, err = run_main(
+            ["cross-section", "--k", "1e-320", "--e0=-1", "--method", method]
         )
         assert (code, out) == (EXIT_DOMAIN, "")
         assert "k=1e-320, e0=-1.0" in err and "largest double" in err
         assert "sigma must" not in err
 
     @pytest.mark.parametrize("mode", ["full", "asymptotic"])
-    def test_tiny_sigma_by_the_limit_route(self, capsys, mode):
+    def test_tiny_sigma_by_the_limit_route(self, mode):
         # 4*k*|bracket|^2 overflows at k = 1e304; sigma itself is 2.0e-309.
         head = ["cross-section", "--k", "1e304", "--e0=-1"]
-        _, closed, _ = run_cli(capsys, head)
-        code, out, err = run_cli(
-            capsys, head + ["--method", "limit", "--mode", mode, "--eps-count", "5"]
+        _, closed, _ = run_main(head)
+        code, out, err = run_main(
+            head + ["--method", "limit", "--mode", mode, "--eps-count", "5"]
         )
         assert (code, err) == (EXIT_OK, "")
         sigma = float(out.splitlines()[1].split(",")[-1])
@@ -1052,25 +944,22 @@ class TestUnrepresentableSigma:
             float(closed.splitlines()[1].split(",")[-1]), rel=1e-9, abs=0.0
         )
 
-    def test_limit_study(self, capsys):
+    def test_limit_study(self):
         # The closed-form column of the study is what cannot be represented.
-        code, out, err = run_cli(
-            capsys,
-            [
-                "limit-study", "--k", "1e-320", "--e0=-1",
-                "--eps-start", "1e-2", "--eps-count", "2",
-            ],
-        )
+        code, out, err = run_main([
+            "limit-study", "--k", "1e-320", "--e0=-1",
+            "--eps-start", "1e-2", "--eps-count", "2",
+        ])
         assert (code, out) == (EXIT_DOMAIN, "")
         assert "largest double" in err
 
-    def test_sweep_keeps_the_rows_before_the_failing_row(self, capsys, tmp_path):
+    def test_sweep_keeps_the_rows_before_the_failing_row(self, tmp_path):
         argv = ["sweep", "--e0=-1", "--k-min", "1e-320", "--k-max", "1", "--points", "5"]
-        code, out, err = run_cli(capsys, argv)
+        code, out, err = run_main(argv)
         assert (code, out) == (EXIT_DOMAIN, "k,ln_x,delta0,sigma,sigma_times_k\n")
         assert "largest double" in err
         target = tmp_path / "table.csv"
-        code, _, _ = run_cli(capsys, argv + ["--output", str(target)])
+        code, _, _ = run_main(argv + ["--output", str(target)])
         assert code == EXIT_DOMAIN
         assert target.read_bytes() == out.encode("ascii")
 
@@ -1080,46 +969,33 @@ class TestStreamedSweep:
     def test_row_format_is_fmt_per_value(self, row):
         assert _SWEEP_ROW % row == ",".join(format(v, "#.15g") for v in row) + "\n"
 
-    def test_memory_does_not_grow_with_points(self, capsys, tmp_path):
+    def test_memory_does_not_grow_with_points(self, tmp_path):
         argv = [
             "sweep", "--e0=-1", "--k-min", "0.01", "--k-max", "100",
             "--points", "100000", "--output", str(tmp_path / "table.csv"),
         ]
-        tracemalloc.start()
-        try:
-            code = main(argv)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(argv)
         assert code == EXIT_OK
         assert peak < 2**20
 
-    def test_bad_flags_create_no_output_file(self, capsys, tmp_path):
+    def test_bad_flags_create_no_output_file(self, tmp_path):
         target = tmp_path / "table.csv"
-        code, _, _ = run_cli(
-            capsys,
-            [
-                "sweep", "--e0=-1", "--k-min", "2", "--k-max", "1",
-                "--output", str(target),
-            ],
-        )
+        code, _, _ = run_main([
+            "sweep", "--e0=-1", "--k-min", "2", "--k-max", "1",
+            "--output", str(target),
+        ])
         assert code == EXIT_VALIDATION
         assert not target.exists()
 
     def test_closed_pipe_ends_the_run_quietly(self):
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "deltascatter", "sweep", "--e0=-1",
-                "--k-min", "0.01", "--k-max", "100", "--points", "200000",
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-        )
-        head = proc.stdout.read(100)
-        proc.stdout.close()
-        code = proc.wait(timeout=120)
-        err = proc.stderr.read()
-        proc.stderr.close()
+        argv = ["sweep", "--e0=-1", "--k-min", "0.01", "--k-max", "100", "--points", "200000"]
+        with subprocess.Popen(
+            child_command(argv), stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        ) as proc:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+            err = proc.stderr.read()
         assert head.startswith(b"k,ln_x,delta0,sigma,sigma_times_k\n")
         assert (code, err) == (EXIT_OK, b"")
 
@@ -1158,11 +1034,7 @@ class TestSweepKernels:
             "sweep", f"--e0={-minus_e0!r}", "--k-min", repr(k_min),
             "--k-max", repr(k_max), "--points", str(points),
         ]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        expected = sweep_by_object_api(-minus_e0, k_min, k_max, points)
-        assert (code, out.getvalue(), err.getvalue()) == expected
+        assert run_main(argv) == sweep_by_object_api(-minus_e0, k_min, k_max, points)
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -1225,14 +1097,6 @@ def cli_argvs(draw):
         if value is not None:
             argv.append(f"{flag}={value!r}")
     return argv
-
-
-def run_main(argv):
-    """(exit code, stdout, stderr) of main, run in process."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=500, deadline=None)

@@ -2,6 +2,7 @@
 
 A helper or UPPER_CASE constant that two test modules define is one rule
 kept twice, free to drift apart; what modules share lives in support.py.
+So does the one python -m deltascatter command line, child_command.
 """
 
 import ast
@@ -30,3 +31,16 @@ def test_no_two_modules_define_the_same_helper():
         for name in module_level_names(path):
             owners[name].append(path.name)
     assert {name: files for name, files in owners.items() if len(files) > 1} == {}
+
+
+def test_only_support_spells_the_child_command_line():
+    spelled = []
+    for path in sorted(TESTS.glob("*.py")):
+        if path.name == "support.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.List):
+                values = [e.value if isinstance(e, ast.Constant) else None for e in node.elts]
+                if ("-m", "deltascatter") in zip(values, values[1:]):
+                    spelled.append(f"{path.name}:{node.lineno}")
+    assert spelled == []

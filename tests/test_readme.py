@@ -2,13 +2,12 @@
 example prints exactly the text shown under it, so neither can drift from
 the program."""
 
-import contextlib
-import io
 import pathlib
 import re
 import shlex
 
-from deltascatter.cli import EXIT_OK, main
+from deltascatter.cli import EXIT_OK
+from support import run_main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -26,9 +25,4 @@ def test_command_line_examples_print_what_they_show():
     )
     assert examples
     for command, shown in examples:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(shlex.split(command))
-        assert (command, code, out.getvalue(), err.getvalue()) == (
-            command, EXIT_OK, shown, ""
-        )
+        assert (command, *run_main(shlex.split(command))) == (command, EXIT_OK, shown, "")

@@ -681,6 +681,29 @@ class TestWrongLimit:
         assert ratio == pytest.approx(1.0, abs=1e-3)
         assert ratio > 1.0
 
+    @pytest.mark.parametrize(
+        "wrong_limit",
+        [
+            mead_godines_wrong_limit,
+            lambda problem: limit_extrapolate(
+                problem, EpsilonSchedule.default_for(problem),
+                RegularizationMode.TRUNCATED_LOG,
+            ).sigma_limit,
+        ],
+        ids=["closed-form", "truncated-log-limit"],
+    )
+    def test_breaks_unitarity_inside_half_pi(self, wrong_limit):
+        # k sigma/4 = pi^2/(4 ln^2 x) breaks the s-wave bound sigma <= 4/k
+        # exactly when |ln x| < pi/2; the true cross section never does.
+        magnitudes = (0.1, 0.5, 1.0, 1.5, 1.6, 2.0, 3.0)
+        for k in (1e-100, 1e-50, 1e-5, 1.0, 1e5, 1e50, 1e100):
+            for log_x in magnitudes + tuple(-m for m in magnitudes):
+                problem = problem_at(k, log_x)
+                ratio = k * wrong_limit(problem) / 4.0
+                assert ratio == pytest.approx(PI_SQ / (4.0 * log_x * log_x), rel=1e-8)
+                assert (ratio > 1.0) == (abs(log_x) < math.pi / 2), (k, log_x)
+                assert k * cross_section_closed(problem).sigma <= 4.0, (k, log_x)
+
     @given(momenta, log_ratios.filter(lambda v: abs(v) >= 0.05))
     def test_always_overshoots(self, k, log_x):
         problem = problem_at(k, log_x)
