@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 import sys
+from decimal import Decimal
 
 import mpmath as mp
 import pytest
@@ -291,10 +292,26 @@ class TestInvariants:
             assert smaller < larger
 
 
+def exact_log_x(k, e0):
+    """ln(sqrt(-e0)/k) at mpmath's working precision."""
+    return mp.log(mp.sqrt(-mp.mpf(e0)) / k)
+
+
 def exact_sigma(k, e0):
     with mp.workdps(40):
-        log_x = mp.log(mp.sqrt(-mp.mpf(e0)) / k)
-        return 4 * mp.pi**2 / (k * (mp.pi**2 + 4 * log_x**2))
+        return 4 * mp.pi**2 / (k * (mp.pi**2 + 4 * exact_log_x(k, e0) ** 2))
+
+
+def seeded_k_mu(seed, count, k_range=(1e-300, 1e300), mu_range=(1e-150, 1e150), band=True):
+    """count seeded (k, mu), each log-uniform on its range; with band, one
+    draw in five, the first included, is mu with k = mu e^-t, |t| <= 1e-3."""
+    rng = random.Random(seed)
+    for i in range(count):
+        if band and i % 5 == 0:
+            mu = draw_log_uniform(rng, *mu_range)
+            yield mu * math.exp(-rng.uniform(-1e-3, 1e-3)), mu
+        else:
+            yield draw_log_uniform(rng, *k_range), draw_log_uniform(rng, *mu_range)
 
 
 class TestWholeDoubleRange:
@@ -308,6 +325,18 @@ class TestWholeDoubleRange:
         problem = ScatteringProblem(k=k, e0=e0)
         assert problem.x in (0.0, math.inf)
         assert problem.log_x == pytest.approx(log_x, rel=1e-15)
+
+    def test_log_x_within_one_ulp_of_its_size(self):
+        """6 000 draws from seeded_k_mu: ln_x is within one ulp of
+        max(1, |ln x|) of ln(sqrt(-e0)/k) at 60 digits, so near resonance
+        only its leading digits are right."""
+        worst = 0.0
+        with mp.workdps(60):
+            for k, mu in seeded_k_mu(32, 6_000):
+                exact = exact_log_x(k, -mu * mu)
+                error = float(abs(ScatteringProblem(k=k, e0=-mu * mu).log_x - exact))
+                worst = max(worst, error / math.ulp(max(1.0, abs(float(exact)))))
+        assert worst <= 1.0
 
     def test_phase_shift_when_ratio_overflows(self):
         delta0 = s_wave_phase_shift(ScatteringProblem(k=1e-300, e0=-1e300)).delta0
@@ -439,18 +468,11 @@ def test_accuracy_contract_against_mpmath():
     40-digit sigma, with mu = sqrt(-e0) taken in mpmath; the FULL and
     ASYMPTOTIC limits down default_for converge within LIMIT_CONTRACT_REL,
     and ASYMPTOTIC's within twice asymptotic_error_model."""
-    rng = random.Random(22)
     routes = (cross_section_closed, cross_section_partial_wave)
     worst = dict.fromkeys((route.__name__ for route in routes), 0.0)
     worst_limit = dict.fromkeys(LIMIT_CONTRACT_REL, 0.0)
     worst_over_model, unconverged = 0.0, []
-    for i in range(6_000):
-        if i % 5 == 0:
-            mu = draw_log_uniform(rng, 1e-150, 1e150)
-            k = mu * math.exp(-rng.uniform(-1e-3, 1e-3))
-        else:
-            k = draw_log_uniform(rng, 1e-300, 1e300)
-            mu = draw_log_uniform(rng, 1e-150, 1e150)
+    for k, mu in seeded_k_mu(22, 6_000):
         problem = ScatteringProblem(k=k, e0=-mu * mu)
         schedule = EpsilonSchedule.default_for(problem)
         with mp.workdps(40):
@@ -472,3 +494,35 @@ def test_accuracy_contract_against_mpmath():
     assert unconverged == []
     assert all(worst_limit[m] <= LIMIT_CONTRACT_REL[m] for m in worst_limit), worst_limit
     assert worst_over_model <= 2.0
+
+
+def digit_gap(value, exact):
+    """Units in the 15th digit between value and the double nearest exact,
+    each printed as %#.15g, as the CLI prints."""
+    printed, rounded = (Decimal(format(v, "#.15g")) for v in (value, float(exact)))
+    return abs(printed - rounded).scaleb(14 - rounded.adjusted())
+
+
+@pytest.mark.parametrize("k_range, mu_range", [((1e-300, 1e300), (1e-150, 1e150)),
+                                              ((1e-6, 1e6), (1e-6, 1e6))],
+                         ids=["whole-range", "1e-6..1e6"])
+def test_printed_digits_within_one_unit(k_range, mu_range):
+    """2 000 draws from seeded_k_mu: both routes' sigma and the sweep
+    columns delta0 and sigma*k print within one unit in the 15th digit of
+    the exact value, at 60 digits, printed the same way."""
+    worst = dict.fromkeys(("closed", "partial-wave", "delta0", "sigma*k"), 0)
+    with mp.workdps(60):
+        for k, mu in seeded_k_mu(33, 2_000, k_range, mu_range, band=False):
+            problem = ScatteringProblem(k=k, e0=-mu * mu)
+            log_x = exact_log_x(k, problem.e0)
+            sigma_k = 4 * mp.pi**2 / (mp.pi**2 + 4 * log_x**2)
+            closed = cross_section_closed(problem).sigma
+            for name, value, exact in (
+                ("closed", closed, sigma_k / k),
+                ("partial-wave", cross_section_partial_wave(problem).sigma, sigma_k / k),
+                ("delta0", s_wave_phase_shift(problem).delta0,
+                 mp.pi / 2 + mp.atan(2 * log_x / mp.pi)),
+                ("sigma*k", closed * k, sigma_k),
+            ):
+                worst[name] = max(worst[name], digit_gap(value, exact))
+    assert max(worst.values()) <= 1, worst

@@ -268,24 +268,6 @@ def test_kernel_error_bounds_against_mpmath():
     } == {}
 
 
-def test_asymptotic_consistency_order():
-    grid = [1e-1, 1e-2, 1e-3, 1e-4]
-    previous = None
-    for z in grid:
-        bound = z * z * (abs(math.log(z)) + 1.0)
-        diff_k0 = abs(bessel_k0(z) - k0_small_z(z))
-        h, h_small = hankel1_0(z), hankel1_0_small_z(z)
-        diff_re = abs(h.real - h_small.real)
-        diff_im = abs(h.imag - h_small.imag)
-        for diff in (diff_k0, diff_re, diff_im):
-            assert diff <= bound
-        if previous is not None:
-            assert diff_k0 < previous[0]
-            assert diff_re < previous[1]
-            assert diff_im < previous[2]
-        previous = (diff_k0, diff_re, diff_im)
-
-
 # (z, then .hex() of J0, Y0, K0, the two-term K0 and the two-term Y0 at z),
 # frozen from the term-by-term series loops: subnormal z, z where z*z/4
 # underflows (1e-200), and the domain up to 2.
